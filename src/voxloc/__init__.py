@@ -8,7 +8,7 @@ tests and the experiment commands.
 """
 
 from voxloc.heatmap import HeatmapSpec, TargetPoint, argmax_position, gaussian_heatmap
-from voxloc.phantom import PhantomCase, PhantomSpec, generate_cohort, generate_phantom
+from voxloc.phantom import PhantomCase, PhantomSpec, generate_phantom
 from voxloc.pipeline import PipelineConfig, PipelineResult, run_pipeline
 from voxloc.predictors import (
     ConvNetLocalizer,
@@ -85,6 +85,5 @@ __all__ = [
     "PhantomSpec",
     "PhantomCase",
     "generate_phantom",
-    "generate_cohort",
     "__version__",
 ]

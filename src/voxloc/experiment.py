@@ -30,7 +30,7 @@ import numpy as np
 
 from voxloc.heatmap import HeatmapSpec
 from voxloc.phantom import PhantomSpec, load_case_volumes, read_manifest, write_cohort
-from voxloc.pipeline import PipelineConfig, PipelineFailureError, run_pipeline
+from voxloc.pipeline import SIDES, PipelineConfig, PipelineFailureError, run_pipeline
 from voxloc.predictors import (
     ConvNetLocalizer,
     ConvNetSpec,
@@ -39,7 +39,7 @@ from voxloc.predictors import (
     TruthMaskSegmenter,
 )
 from voxloc.transforms import TransformPriors
-from voxloc.uncertainty import McConfig, rejection_stats, run_mode
+from voxloc.uncertainty import BoxplotStats, McConfig, rejection_stats, run_mode
 from voxloc.volume import flip_lr
 
 __all__ = [
@@ -73,7 +73,6 @@ RESULT_COLUMNS = (
     "mad",
     "flagged",
 )
-SIDES = ("left", "right")
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -111,7 +110,12 @@ class ExperimentConfig:
     weight_file: str | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "dims", tuple(int(d) for d in self.dims))
+        ints = {name: getattr(self, name) for name in ("n_cases", "n_hard", "n_samples", "seed", "workers")}
+        ints.update((f"dims[{i}]", d) for i, d in enumerate(self.dims))
+        for name, value in ints.items():
+            if not isinstance(value, int) or isinstance(value, bool):
+                raise UsageError(f"{name} must be an integer, got {value!r}")
+        object.__setattr__(self, "dims", tuple(self.dims))
         object.__setattr__(self, "modes", tuple(self.modes))
         object.__setattr__(self, "shift_range_mm", tuple(float(x) for x in self.shift_range_mm))
         object.__setattr__(self, "rotate_range_deg", tuple(float(x) for x in self.rotate_range_deg))
@@ -195,7 +199,10 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
         raise UsageError(f"cohort size must be >= 1, got {cfg.n_cases}")
     if cfg.n_hard > cfg.n_cases:
         raise UsageError(f"n_hard {cfg.n_hard} exceeds cohort size {cfg.n_cases}")
-    base = PhantomSpec(dims=cfg.dims)
+    try:
+        base = PhantomSpec(dims=cfg.dims)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from exc
     write_cohort(
         cfg.cohort_dir,
         cfg.n_cases,
@@ -214,36 +221,32 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 
 
 def _build_localizer(cfg: ExperimentConfig, failure_rate: float):
-    oracle = OracleLocalizerConfig(
-        jitter_std=cfg.jitter_std,
-        failure_rate=failure_rate,
-        heatmap=HeatmapSpec(sigma_mm=cfg.heatmap_sigma_mm),
-    )
     if cfg.weight_file is not None:
         return ConvNetLocalizer.from_file(ConvNetSpec(), cfg.weight_file)
-    return MarkerLocalizer(oracle)
+    return MarkerLocalizer(
+        OracleLocalizerConfig(
+            jitter_std=cfg.jitter_std,
+            failure_rate=failure_rate,
+            heatmap=HeatmapSpec(sigma_mm=cfg.heatmap_sigma_mm),
+        )
+    )
 
 
-def _failed_rows(cfg: ExperimentConfig, case_id: int, truths: dict, sides=SIDES) -> list[dict]:
-    rows = []
-    for side in sides:
-        truth = truths[side]
-        for mode in cfg.modes:
-            rows.append(
-                {
-                    "case_id": case_id,
-                    "side": side,
-                    "mode": mode,
-                    "status": "failed",
-                    "pred": None,
-                    "truth": truth,
-                    "error_mm": None,
-                    "mad": None,
-                    "flagged": None,
-                    "runtime_ms": 0.0,
-                }
-            )
-    return rows
+def _row(case_id: int, side: str, mode: str, truth: list, pred=None, error_mm=None, mad=None,
+         runtime_ms: float = 0.0) -> dict:
+    """One results row; a row without a prediction has failed."""
+    return {
+        "case_id": case_id,
+        "side": side,
+        "mode": mode,
+        "status": "failed" if pred is None else "ok",
+        "pred": None if pred is None else [float(p) for p in pred],
+        "truth": truth,
+        "error_mm": error_mm,
+        "mad": mad,
+        "flagged": None,
+        "runtime_ms": runtime_ms,
+    }
 
 
 def _case_task(args: tuple[dict, str, dict]) -> tuple[list[dict], dict]:
@@ -257,35 +260,29 @@ def _case_task(args: tuple[dict, str, dict]) -> tuple[list[dict], dict]:
         "modes": {},
     }
 
+    sides: dict = {}
     try:
         image, left_mask, right_mask = load_case_volumes(manifest_path, entry)
     except Exception as exc:  # noqa: BLE001 - any load problem fails the case
         case_json["error"] = str(exc)
-        return _failed_rows(cfg, case_id, truths), case_json
+    else:
+        localizer = _build_localizer(cfg, cfg.hard_failure_rate if entry["hard"] else 0.0)
+        segmenter = TruthMaskSegmenter(left_mask, right_mask)
+        try:
+            result = run_pipeline(PipelineConfig(segmenter=segmenter, localizer=localizer), image)
+        except PipelineFailureError as exc:
+            case_json["error"] = str(exc)
+        else:
+            case_json["pipeline"] = result.to_json()
+            sides = result.sides
 
-    failure_rate = cfg.hard_failure_rate if entry["hard"] else 0.0
-    localizer = _build_localizer(cfg, failure_rate)
-    pipeline_cfg = PipelineConfig(
-        segmenter=TruthMaskSegmenter(left_mask, right_mask),
-        localizer=localizer,
-        heatmap=HeatmapSpec(sigma_mm=cfg.heatmap_sigma_mm),
-    )
-    try:
-        result = run_pipeline(pipeline_cfg, image)
-    except PipelineFailureError as exc:
-        case_json["error"] = str(exc)
-        return _failed_rows(cfg, case_id, truths), case_json
-
-    case_json["pipeline"] = result.to_json()
-    dims = np.asarray(image.dims, dtype=np.float64)
-    spacing = np.asarray(image.spacing)
     rows: list[dict] = []
     for side_idx, side in enumerate(SIDES):
-        truth = np.asarray(truths[side])
-        if side not in result.sides:
-            rows.extend(_failed_rows(cfg, case_id, truths, sides=(side,)))
+        truth = truths[side]
+        if side not in sides:
+            rows.extend(_row(case_id, side, mode, truth) for mode in cfg.modes)
             continue
-        side_res = result.sides[side]
+        side_res = sides[side]
         crop_in = flip_lr(side_res.crop) if side == "left" else side_res.crop
         extent0 = side_res.crop.dims[0]
         low = np.asarray(side_res.box.low, dtype=np.float64)
@@ -308,48 +305,39 @@ def _case_task(args: tuple[dict, str, dict]) -> tuple[list[dict], dict]:
                     peak = summary.final_target.as_array.copy()
                     if side == "left":
                         peak[0] = extent0 - 1 - peak[0]
-                    pred = np.clip(low + peak, 0.0, dims - 1.0)
+                    pred = np.clip(low + peak, 0.0, np.asarray(image.dims, dtype=np.float64) - 1.0)
                     mad_val = float(summary.mad)
-                status = "ok"
-                error_mm = float(np.linalg.norm((pred - truth) * spacing))
+                error_mm = float(np.linalg.norm((pred - truth) * np.asarray(image.spacing)))
             except Exception as exc:  # noqa: BLE001 - a mode failure is a row failure
-                rows.append(
-                    {
-                        "case_id": case_id,
-                        "side": side,
-                        "mode": mode,
-                        "status": "failed",
-                        "pred": None,
-                        "truth": truths[side],
-                        "error_mm": None,
-                        "mad": None,
-                        "flagged": None,
-                        "runtime_ms": (time.perf_counter() - t0) * 1e3,
-                    }
-                )
+                rows.append(_row(case_id, side, mode, truth, runtime_ms=(time.perf_counter() - t0) * 1e3))
                 case_json.setdefault("mode_errors", {})[f"{side}/{mode}"] = str(exc)
                 continue
-            runtime_ms = (time.perf_counter() - t0) * 1e3
-            rows.append(
-                {
-                    "case_id": case_id,
-                    "side": side,
-                    "mode": mode,
-                    "status": status,
-                    "pred": [float(p) for p in pred],
-                    "truth": truths[side],
-                    "error_mm": error_mm,
-                    "mad": mad_val,
-                    "flagged": None,
-                    "runtime_ms": runtime_ms,
-                }
-            )
+            row = _row(case_id, side, mode, truth, pred, error_mm, mad_val, (time.perf_counter() - t0) * 1e3)
+            rows.append(row)
             case_json["modes"].setdefault(mode, {})[side] = {
-                "pred": [float(p) for p in pred],
+                "pred": row["pred"],
                 "error_mm": error_mm,
                 "mad": mad_val,
             }
     return rows, case_json
+
+
+def _fence(rows: list[dict], mode: str) -> tuple[list[dict], list[float], BoxplotStats | None]:
+    """One mode's scored rows, their dispersion scores and the Tukey fence over them.
+
+    Rows come from a run (``mad`` a float or None) or from a results.csv
+    (``mad`` a string, empty when unscored). The fence needs at least 4
+    scores; with fewer it is None.
+    """
+    scored = [r for r in rows if r["mode"] == mode and r["status"] == "ok" and r["mad"] not in (None, "")]
+    try:
+        mads = [float(r["mad"]) for r in scored]
+    except ValueError as exc:
+        raise SchemaError(f"mode {mode} has a non-numeric mad: {exc}") from exc
+    if len(scored) < 4:
+        log.warning("mode %s has %d scored rows; need 4 to flag", mode, len(scored))
+        return scored, mads, None
+    return scored, mads, rejection_stats(mads)
 
 
 def _apply_flags(rows: list[dict], modes) -> None:
@@ -357,14 +345,12 @@ def _apply_flags(rows: list[dict], modes) -> None:
     for mode in modes:
         if mode == "baseline":
             continue
-        indexed = [(i, r["mad"]) for i, r in enumerate(rows) if r["mode"] == mode and r["mad"] is not None]
-        if len(indexed) < 4:
-            log.warning("mode %s has %d dispersion scores; need 4 to flag", mode, len(indexed))
+        scored, _, stats = _fence(rows, mode)
+        if stats is None:
             continue
-        stats = rejection_stats([m for _, m in indexed])
         flagged = set(stats.flagged)
-        for pos, (row_idx, _) in enumerate(indexed):
-            rows[row_idx]["flagged"] = pos in flagged
+        for pos, row in enumerate(scored):
+            row["flagged"] = pos in flagged
 
 
 def _fmt(value, kind: str) -> str:
@@ -508,12 +494,9 @@ def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: st
     for mode in modes_present:
         if mode == "baseline":
             continue
-        scored = [r for r in records if r["mode"] == mode and r["status"] == "ok" and r["mad"] != ""]
-        if len(scored) < 4:
-            log.warning("mode %s has %d scored rows; need 4, skipping", mode, len(scored))
+        scored, mads, stats = _fence(records, mode)
+        if stats is None:
             continue
-        mads = [float(r["mad"]) for r in scored]
-        stats = rejection_stats(mads)
         flagged_set = set(stats.flagged)
         flagged_cases = sorted({int(scored[i]["case_id"]) for i in flagged_set})
         hits = set(flagged_cases) & set(hard_cases)
@@ -533,7 +516,7 @@ def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: st
                     "case_id": int(r["case_id"]),
                     "side": r["side"],
                     "mode": mode,
-                    "mad": float(r["mad"]),
+                    "mad": mads[i],
                     "flagged": i in flagged_set,
                     "hard": int(r["case_id"]) in hard_lookup,
                 }

@@ -16,7 +16,6 @@ __all__ = [
     "argmax_position",
     "wmse",
     "dice_score",
-    "dice_loss",
 ]
 
 
@@ -152,8 +151,3 @@ def dice_score(a: Volume3, b: Volume3) -> float:
         return 1.0
     inter = int(np.logical_and(am, bm).sum())
     return 2.0 * inter / denom
-
-
-def dice_loss(a: Volume3, b: Volume3) -> float:
-    """Loss form of the overlap score (1 - dice_score)."""
-    return 1.0 - dice_score(a, b)

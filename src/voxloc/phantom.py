@@ -31,7 +31,6 @@ __all__ = [
     "hard_case_ids",
     "cohort_case_spec",
     "iter_cohort",
-    "generate_cohort",
     "write_cohort",
     "read_manifest",
 ]
@@ -287,15 +286,6 @@ def iter_cohort(
     for i in range(n):
         spec = cohort_case_spec(i, seed, base, i in hard)
         yield CohortEntry(i, generate_phantom(spec), i in hard)
-
-
-def generate_cohort(
-    n: int,
-    n_hard: int = 0,
-    seed: int = 0,
-    base_spec: PhantomSpec | None = None,
-) -> list[PhantomCase]:
-    return [entry.case for entry in iter_cohort(n, n_hard, seed, base_spec)]
 
 
 def _spec_echo(spec: PhantomSpec) -> dict:

@@ -12,12 +12,12 @@ whole-volume voxel coordinates by adding the crop's low corner.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import ndimage
 
-from voxloc.heatmap import HeatmapSpec, TargetPoint, argmax_position
+from voxloc.heatmap import TargetPoint, argmax_position
 from voxloc.predictors import Localizer, Segmenter
 from voxloc.volume import Volume3, VoxelBox, crop_box, downsample_to, flip_lr
 
@@ -52,7 +52,6 @@ class PipelineConfig:
     coarse_dims: tuple[int, int, int] = (80, 80, 80)
     crop_extent: tuple[int, int, int] = (64, 64, 64)
     connectivity: int = 26
-    heatmap: HeatmapSpec = field(default_factory=HeatmapSpec)
 
     def __post_init__(self):
         coarse = tuple(int(d) for d in self.coarse_dims)
@@ -169,7 +168,7 @@ def _coarse_centers(cfg: PipelineConfig, image: Volume3, timings: dict) -> dict[
     return centers
 
 
-def run_pipeline(cfg: PipelineConfig, image: Volume3, seed: int = 0) -> PipelineResult:
+def run_pipeline(cfg: PipelineConfig, image: Volume3) -> PipelineResult:
     """Full two-stage pass over one scan.
 
     Per-side stage-1 failures are reported in ``failed_sides``; only when
@@ -193,7 +192,7 @@ def run_pipeline(cfg: PipelineConfig, image: Volume3, seed: int = 0) -> Pipeline
 
         t0 = time.perf_counter()
         crop_in = flip_lr(crop) if side == "left" else crop
-        heat = cfg.localizer.predict(crop_in, stochastic=False, seed=seed)
+        heat = cfg.localizer.predict(crop_in, stochastic=False)
         heat_native = flip_lr(heat) if side == "left" else heat
         peak = argmax_position(heat_native).as_array
         whole = np.asarray(box.low, dtype=np.float64) + peak

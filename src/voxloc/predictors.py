@@ -14,8 +14,7 @@ machinery:
 * ``EchoLocalizer``: returns its input, handy for chain-reduction tests.
 
 Segmentation is stage-1 plumbing here, so ``TruthMaskSegmenter`` wraps
-known phantom masks (optionally noise-perturbed at their boundary) and
-``IntensityBandSegmenter`` provides an intensity-threshold fallback.
+known phantom masks, optionally noise-perturbed at their boundary.
 """
 
 from __future__ import annotations
@@ -37,7 +36,6 @@ __all__ = [
     "InvalidModelError",
     "ConvNetSpec",
     "ConvNetLocalizer",
-    "convnet_forward",
     "apply_inverted_dropout",
     "save_weights",
     "OracleLocalizerConfig",
@@ -46,8 +44,6 @@ __all__ = [
     "MarkerLocalizer",
     "EchoLocalizer",
     "TruthMaskSegmenter",
-    "IntensityBandSegmenter",
-    "synthetic_segment",
 ]
 
 
@@ -202,10 +198,6 @@ class ConvNetLocalizer:
                 if stochastic and i in self.spec.dropout_layers:
                     x = apply_inverted_dropout(x, self.spec.dropout_rate, rng)
         return Volume3(x[0], v.spacing)
-
-
-def convnet_forward(net: ConvNetLocalizer, v: Volume3, stochastic: bool = False, seed: int = 0) -> Volume3:
-    return net.predict(v, stochastic=stochastic, seed=seed)
 
 
 def save_weights(net: ConvNetLocalizer, manifest_path: str | Path) -> None:
@@ -448,31 +440,3 @@ class TruthMaskSegmenter:
             left = _boundary_perturb(left, self.flip_rate, rng)
             right = _boundary_perturb(right, self.flip_rate, rng)
         return _stack_probabilities(left, right, v.spacing)
-
-
-class IntensityBandSegmenter:
-    """Threshold fallback: foreground = intensities inside a band, split at the midplane."""
-
-    def __init__(self, band: tuple[float, float] = (0.35, 0.85)):
-        if band[0] >= band[1]:
-            raise ValueError(f"band must be a nonempty interval, got {band}")
-        self.band = (float(band[0]), float(band[1]))
-
-    def predict(self, v: Volume3) -> tuple[Volume3, Volume3, Volume3]:
-        fg = (v.data >= self.band[0]) & (v.data <= self.band[1])
-        mid = v.dims[0] // 2
-        half = np.zeros(v.dims, dtype=bool)
-        half[:mid] = True
-        return _stack_probabilities(fg & half, fg & ~half, v.spacing)
-
-
-def synthetic_segment(
-    v: Volume3,
-    left_mask: Volume3,
-    right_mask: Volume3,
-    boundary_noise: bool = False,
-    seed: int = 0,
-) -> tuple[Volume3, Volume3, Volume3]:
-    """Probability channels (background, left, right) from truth masks."""
-    seg = TruthMaskSegmenter(left_mask, right_mask, boundary_noise=boundary_noise, seed=seed)
-    return seg.predict(v)

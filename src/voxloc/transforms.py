@@ -9,10 +9,8 @@ prediction made in augmented space back into the original frame.
 
 from __future__ import annotations
 
-import json
 import logging
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 from scipy import ndimage
@@ -23,16 +21,10 @@ __all__ = [
     "RigidTransform",
     "IntensityCurve",
     "TransformPriors",
-    "bezier_eval",
     "intensity_apply",
     "intensity_apply_inverse",
     "rigid_apply",
-    "rigid_invert",
     "sample_transform",
-    "transform_pair_to_json",
-    "transform_pair_from_json",
-    "write_transform_pair",
-    "read_transform_pair",
 ]
 
 log = logging.getLogger(__name__)
@@ -101,10 +93,6 @@ class RigidTransform:
         return RigidTransform(self.axis, -self.angle_deg, tuple(t_inv), self.pivot)
 
 
-def rigid_invert(tf: RigidTransform) -> RigidTransform:
-    return tf.invert()
-
-
 def rigid_apply(tf: RigidTransform, v: Volume3, interpolation: str = "trilinear") -> Volume3:
     """Resample a volume under a rigid transform.
 
@@ -117,14 +105,11 @@ def rigid_apply(tf: RigidTransform, v: Volume3, interpolation: str = "trilinear"
         raise ValueError(f"unknown interpolation {interpolation!r}")
     pivot = tf.resolve_pivot(v.dims)
     rot_inv = rotation_matrix(tf.axis, -tf.angle_deg)
-    grids = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in v.dims), indexing="ij")
-    q = np.stack([g.ravel() for g in grids])  # (3, N)
-    shifted = q - (pivot + np.asarray(tf.translation))[:, None]
-    coords = rot_inv @ shifted + pivot[:, None]
+    offset = pivot - rot_inv @ (pivot + np.asarray(tf.translation))
     order = 1 if interpolation == "trilinear" else 0
-    out = ndimage.map_coordinates(
-        v.data.astype(np.float64, copy=False), coords, order=order, mode="nearest"
-    ).reshape(v.dims)
+    out = ndimage.affine_transform(
+        v.data.astype(np.float64, copy=False), rot_inv, offset=offset, order=order, mode="nearest"
+    )
     return Volume3(out.astype(v.data.dtype, copy=False), v.spacing)
 
 
@@ -204,36 +189,26 @@ def _bezier_points(p1, p2, t: np.ndarray) -> np.ndarray:
     return u**3 * p0 + 3.0 * u**2 * t * p1 + 3.0 * u * t**2 * p2 + t**3 * p3
 
 
-def bezier_eval(curve: IntensityCurve, t: float) -> tuple[float, float]:
-    """Exact cubic Bernstein point of the curve at parameter t in [0, 1]."""
-    if not 0.0 <= t <= 1.0:
-        raise ValueError(f"curve parameter must lie in [0,1], got {t}")
-    point = _bezier_points(curve.p1, curve.p2, np.array([t]))[0]
-    return (float(point[0]), float(point[1]))
-
-
-def intensity_apply(curve: IntensityCurve, v: Volume3) -> Volume3:
-    """Map voxel intensities through the curve (input read on the x axis)."""
+def _remap(v: Volume3, x: np.ndarray, y: np.ndarray, caller: str) -> Volume3:
+    # piecewise-linear lookup of each voxel's value on the (x -> y) table
     data = v.data.astype(np.float64, copy=False)
     n_clamped = int(np.count_nonzero((data < 0.0) | (data > 1.0)))
     if n_clamped:
-        log.warning("intensity_apply: clamped %d voxels outside [0,1]", n_clamped)
+        log.warning("%s: clamped %d voxels outside [0,1]", caller, n_clamped)
         data = np.clip(data, 0.0, 1.0)
-    x, y = _strictify(curve.lut_x, curve.lut_y)
+    x, y = _strictify(x, y)
     out = np.interp(data.ravel(), x, y).reshape(v.dims)
     return Volume3(out.astype(v.data.dtype, copy=False), v.spacing)
 
 
+def intensity_apply(curve: IntensityCurve, v: Volume3) -> Volume3:
+    """Map voxel intensities through the curve (input read on the x axis)."""
+    return _remap(v, curve.lut_x, curve.lut_y, "intensity_apply")
+
+
 def intensity_apply_inverse(curve: IntensityCurve, v: Volume3) -> Volume3:
     """Map voxel intensities through the inverse curve (table axes swapped)."""
-    data = v.data.astype(np.float64, copy=False)
-    n_clamped = int(np.count_nonzero((data < 0.0) | (data > 1.0)))
-    if n_clamped:
-        log.warning("intensity_apply_inverse: clamped %d voxels outside [0,1]", n_clamped)
-        data = np.clip(data, 0.0, 1.0)
-    y, x = _strictify(curve.lut_y, curve.lut_x)
-    out = np.interp(data.ravel(), y, x).reshape(v.dims)
-    return Volume3(out.astype(v.data.dtype, copy=False), v.spacing)
+    return _remap(v, curve.lut_y, curve.lut_x, "intensity_apply_inverse")
 
 
 # ---------------------------------------------------------------------------
@@ -299,31 +274,3 @@ def sample_transform(priors: TransformPriors, seed: int) -> tuple[RigidTransform
     tf = RigidTransform(tuple(axis), angle, tuple(translation))
     curve = IntensityCurve(tuple(p1), tuple(p2))
     return tf, curve
-
-
-# ---------------------------------------------------------------------------
-# serialization for experiment logging and replay
-# ---------------------------------------------------------------------------
-
-
-def transform_pair_to_json(tf: RigidTransform, curve: IntensityCurve) -> dict:
-    return {
-        "axis": list(tf.axis),
-        "angle_deg": tf.angle_deg,
-        "translation": list(tf.translation),
-        "curve": {"p1": list(curve.p1), "p2": list(curve.p2)},
-    }
-
-
-def transform_pair_from_json(obj: dict) -> tuple[RigidTransform, IntensityCurve]:
-    tf = RigidTransform(tuple(obj["axis"]), float(obj["angle_deg"]), tuple(obj["translation"]))
-    curve = IntensityCurve(tuple(obj["curve"]["p1"]), tuple(obj["curve"]["p2"]))
-    return tf, curve
-
-
-def write_transform_pair(tf: RigidTransform, curve: IntensityCurve, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(transform_pair_to_json(tf, curve), sort_keys=True, indent=2) + "\n")
-
-
-def read_transform_pair(path: str | Path) -> tuple[RigidTransform, IntensityCurve]:
-    return transform_pair_from_json(json.loads(Path(path).read_text()))

@@ -1,27 +1,27 @@
 """Sampling-based uncertainty: dropout passes, augmentation passes, MAD.
 
-Three samplers share one aggregation: N heatmaps (all mapped back to the
-original orientation) reduce to a voxelwise mean and population variance,
-per-sample argmax positions, their centroid, and the mean distance of the
-positions from that centroid (the dispersion score used for rejection).
-The final target of a run is the argmax of the mean map.
+One sampler serves all three modes. Each mode fixes two switches: whether
+a sample is augmented and whether the predictor is stochastic. Sample
+``i`` is seeded with ``base_seed + i``:
 
-Samplers:
-* dropout passes: stochastic predictor on the untransformed input,
-  seeds ``base_seed + i``.
-* augmentation passes: per sample, draw a rigid + intensity transform,
-  undo it on the input (spatial inverse with trilinear resampling, then
-  the intensity inverse), predict deterministically, and map the heatmap
-  back through the forward spatial transform.
+* mcdo: stochastic predictor on the untransformed input.
+* tta: draw a rigid + intensity transform, undo it on the input (spatial
+  inverse with trilinear resampling, then the intensity inverse),
+  predict deterministically, and map the heatmap back through the
+  forward spatial transform.
 * hybrid: the augmentation chain with the stochastic predictor, so both
   randomness sources are active.
+
+The N heatmaps (all in the original orientation) reduce to a voxelwise
+mean and population variance, per-sample argmax positions, their
+centroid, and the mean distance of the positions from that centroid (the
+dispersion score used for rejection). The final target of a run is the
+argmax of the mean map.
 """
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
-from pathlib import Path
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -29,7 +29,7 @@ import numpy as np
 from voxloc.heatmap import TargetPoint, argmax_position
 from voxloc.predictors import Localizer
 from voxloc.transforms import TransformPriors, intensity_apply_inverse, rigid_apply, sample_transform
-from voxloc.volume import Volume3, write_volume
+from voxloc.volume import Volume3
 
 __all__ = [
     "SamplingError",
@@ -43,10 +43,11 @@ __all__ = [
     "run_mode",
     "BoxplotStats",
     "rejection_stats",
-    "write_summary_maps",
 ]
 
-MODES = ("mcdo", "tta", "hybrid")
+# mode -> (augment the input, stochastic predictor)
+_SWITCHES = {"mcdo": (False, True), "tta": (True, False), "hybrid": (True, True)}
+MODES = tuple(_SWITCHES)
 
 
 class SamplingError(Exception):
@@ -181,55 +182,43 @@ def _aggregate(cfg: McConfig, sample_fn: Callable[[int], Volume3]) -> Uncertaint
     )
 
 
-def run_mcdo(loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:
-    """Stochastic predictor passes on the untransformed input."""
-    if cfg.mode != "mcdo":
-        raise ValueError(f"config mode is {cfg.mode!r}, expected 'mcdo'")
-    return _aggregate(cfg, lambda i: loc.predict(v, stochastic=True, seed=cfg.base_seed + i))
-
-
-def _augmented_sample(loc: Localizer, v: Volume3, cfg: McConfig, i: int, stochastic: bool) -> Volume3:
-    seed = cfg.base_seed + i
-    tf, curve = sample_transform(cfg.priors, seed)
+def _sample(
+    loc: Localizer, v: Volume3, seed: int, priors: TransformPriors, augment: bool, stochastic: bool
+) -> Volume3:
+    if not augment:
+        return loc.predict(v, stochastic=stochastic, seed=seed)
+    tf, curve = sample_transform(priors, seed)
     undone = rigid_apply(tf.invert(), v, interpolation="trilinear")
     latent = intensity_apply_inverse(curve, undone)
     heat = loc.predict(latent, stochastic=stochastic, seed=seed)
     return rigid_apply(tf, heat, interpolation="trilinear")
 
 
+def run_mode(loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:
+    """Sample and aggregate with the switches of cfg.mode."""
+    augment, stochastic = _SWITCHES[cfg.mode]
+    return _aggregate(cfg, lambda i: _sample(loc, v, cfg.base_seed + i, cfg.priors, augment, stochastic))
+
+
+def _run_expecting(mode: str, loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:
+    if cfg.mode != mode:
+        raise ValueError(f"config mode is {cfg.mode!r}, expected {mode!r}")
+    return run_mode(loc, v, cfg)
+
+
+def run_mcdo(loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:
+    """Stochastic predictor passes on the untransformed input."""
+    return _run_expecting("mcdo", loc, v, cfg)
+
+
 def run_tta(loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:
     """Augmentation passes with the deterministic predictor."""
-    if cfg.mode != "tta":
-        raise ValueError(f"config mode is {cfg.mode!r}, expected 'tta'")
-    return _aggregate(cfg, lambda i: _augmented_sample(loc, v, cfg, i, stochastic=False))
+    return _run_expecting("tta", loc, v, cfg)
 
 
 def run_hybrid(loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:
     """Augmentation passes with the stochastic predictor."""
-    if cfg.mode != "hybrid":
-        raise ValueError(f"config mode is {cfg.mode!r}, expected 'hybrid'")
-    return _aggregate(cfg, lambda i: _augmented_sample(loc, v, cfg, i, stochastic=True))
-
-
-def run_mode(loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:
-    """Dispatch on cfg.mode."""
-    runner = {"mcdo": run_mcdo, "tta": run_tta, "hybrid": run_hybrid}[cfg.mode]
-    return runner(loc, v, cfg)
-
-
-def write_summary_maps(summary: UncertaintySummary, out_dir: str | Path, prefix: str) -> dict:
-    """Write mean/variance volumes plus the scalar JSON; returns file names."""
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    files = {
-        "mean": f"{prefix}_mean.json",
-        "variance": f"{prefix}_variance.json",
-        "summary": f"{prefix}_summary.json",
-    }
-    write_volume(summary.mean_map, out_dir / files["mean"])
-    write_volume(summary.variance_map, out_dir / files["variance"])
-    (out_dir / files["summary"]).write_text(json.dumps(summary.to_json(), sort_keys=True, indent=2) + "\n")
-    return files
+    return _run_expecting("hybrid", loc, v, cfg)
 
 
 # ---------------------------------------------------------------------------

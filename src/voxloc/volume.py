@@ -24,7 +24,6 @@ import numpy as np
 __all__ = [
     "Volume3",
     "VoxelBox",
-    "resample_isotropic",
     "rescale_intensity",
     "downsample_to",
     "crop_box",
@@ -143,42 +142,6 @@ def _take_axis_nearest(arr: np.ndarray, pos: np.ndarray, axis: int) -> np.ndarra
     return np.take(arr, idx, axis=axis)
 
 
-def _resample_grid(v: Volume3, out_dims, out_spacing, positions, interpolation: str) -> Volume3:
-    # Axis-separable resampling: the grid mapping is axis-aligned, so one
-    # 1-D interpolation pass per axis reproduces full trilinear sampling.
-    if interpolation not in ("trilinear", "nearest"):
-        raise ValueError(f"unknown interpolation {interpolation!r}")
-    out = v.data.astype(np.float64, copy=False)
-    for axis in range(3):
-        if interpolation == "trilinear":
-            out = _interp_axis_linear(out, positions[axis], axis)
-        else:
-            out = _take_axis_nearest(out, positions[axis], axis)
-    return Volume3(out.astype(v.data.dtype, copy=False), tuple(out_spacing))
-
-
-def resample_isotropic(v: Volume3, target_spacing: float, interpolation: str = "trilinear") -> Volume3:
-    """Resample onto an isotropic grid with the given spacing in mm.
-
-    Output dims are ``round(dims * spacing / target_spacing)`` per axis
-    (half rounds up), at least 1. Output voxel ``q`` samples the input at
-    physical position ``q * target_spacing``, so a volume that is already
-    isotropic at the target spacing is returned unchanged. Images use
-    trilinear interpolation; masks should pass ``interpolation="nearest"``.
-    """
-    if target_spacing <= 0:
-        raise ValueError(f"target spacing must be > 0, got {target_spacing}")
-    out_dims = tuple(
-        max(1, int(np.floor(d * s / target_spacing + 0.5)))
-        for d, s in zip(v.dims, v.spacing)
-    )
-    positions = [
-        np.arange(out_dims[a], dtype=np.float64) * (target_spacing / v.spacing[a])
-        for a in range(3)
-    ]
-    return _resample_grid(v, out_dims, (target_spacing,) * 3, positions, interpolation)
-
-
 def downsample_to(v: Volume3, dims, interpolation: str = "trilinear") -> Volume3:
     """Resample onto exactly the requested grid, preserving physical extent.
 
@@ -192,11 +155,19 @@ def downsample_to(v: Volume3, dims, interpolation: str = "trilinear") -> Volume3
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 1 for d in dims):
         raise ValueError(f"target dims must be three positive ints, got {dims}")
+    if interpolation not in ("trilinear", "nearest"):
+        raise ValueError(f"unknown interpolation {interpolation!r}")
     out_spacing = tuple(v.dims[a] * v.spacing[a] / dims[a] for a in range(3))
-    positions = [
-        np.arange(dims[a], dtype=np.float64) * (v.dims[a] / dims[a]) for a in range(3)
-    ]
-    return _resample_grid(v, dims, out_spacing, positions, interpolation)
+    # Axis-separable resampling: the grid mapping is axis-aligned, so one
+    # 1-D interpolation pass per axis reproduces full trilinear sampling.
+    out = v.data.astype(np.float64, copy=False)
+    for axis in range(3):
+        positions = np.arange(dims[axis], dtype=np.float64) * (v.dims[axis] / dims[axis])
+        if interpolation == "trilinear":
+            out = _interp_axis_linear(out, positions, axis)
+        else:
+            out = _take_axis_nearest(out, positions, axis)
+    return Volume3(out.astype(v.data.dtype, copy=False), out_spacing)
 
 
 # ---------------------------------------------------------------------------

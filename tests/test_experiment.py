@@ -105,6 +105,22 @@ class TestConfig:
         with pytest.raises(UsageError):
             ExperimentConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            dict(n_cases=4.0),
+            dict(n_hard="1"),
+            dict(n_samples=2.5),
+            dict(seed=1.5),
+            dict(workers=True),
+            dict(dims=(96.0, 96, 96)),
+            dict(dims=(96, 96, False)),
+        ],
+    )
+    def test_non_integer_counts_rejected(self, kwargs):
+        with pytest.raises(UsageError, match="must be an integer"):
+            ExperimentConfig(**kwargs)
+
     def test_load_config_merges_file_and_overrides(self, tmp_path):
         path = tmp_path / "cfg.json"
         path.write_text(json.dumps({"n_cases": 7, "seed": 3}))
@@ -371,6 +387,14 @@ class TestAnalyze:
         with pytest.raises(SchemaError, match="missing columns"):
             cmd_analyze(tmp_path / "results.csv", tmp_path / "manifest.json", tmp_path)
 
+    def test_non_numeric_mad_is_schema_error(self, tmp_path):
+        write_results_fixture(tmp_path / "results.csv", {i: 1.0 for i in range(4)})
+        text = (tmp_path / "results.csv").read_text()
+        (tmp_path / "results.csv").write_text(text.replace(",1.000000,false", ",abc,false", 1))
+        write_manifest_fixture(tmp_path / "manifest.json", 4, set())
+        with pytest.raises(SchemaError, match="non-numeric mad"):
+            cmd_analyze(tmp_path / "results.csv", tmp_path / "manifest.json", tmp_path)
+
     def test_missing_results_is_schema_error(self, tmp_path):
         write_manifest_fixture(tmp_path / "manifest.json", 1, set())
         with pytest.raises(SchemaError):
@@ -420,6 +444,24 @@ class TestCli:
     def test_zero_cases_is_usage_error(self, tmp_path):
         rc = main(["generate", "--out", str(tmp_path / "c"), "--n", "0", "--dims", "96,96,96"])
         assert rc == 2
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (["generate", "--n", "1", "--dims", "32,32,32"], {}),
+            (["run"], {"n_samples": 2.5}),
+            (["run"], {"workers": True}),
+        ],
+        ids=["dims-below-64", "fractional-n-samples", "bool-workers"],
+    )
+    def test_invalid_request_is_one_line_usage_error(self, tmp_path, capsys, argv, config):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"cohort_dir": str(tmp_path / "c"), "out_dir": str(tmp_path / "r"), **config}))
+        assert main([*argv, "--config", str(cfg_path)]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
 
     def test_run_without_cohort_is_io_error(self, tmp_path):
         rc = main(["run", "--cohort", str(tmp_path / "missing"), "--out", str(tmp_path / "r")])

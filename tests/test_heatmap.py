@@ -13,7 +13,6 @@ from voxloc.heatmap import (
     HeatmapSpec,
     TargetPoint,
     argmax_position,
-    dice_loss,
     dice_score,
     gaussian_heatmap,
     wmse,
@@ -215,11 +214,6 @@ class TestDice:
     def test_both_empty(self):
         a = _mask((3, 3, 3), [])
         assert dice_score(a, a) == 1.0
-
-    def test_loss_is_complement(self):
-        a = _mask((4, 4, 4), [(0, 0, 0)])
-        b = _mask((4, 4, 4), [(0, 0, 0), (1, 0, 0)])
-        assert dice_loss(a, b) == 1.0 - dice_score(a, b)
 
     def test_dim_mismatch_rejected(self):
         a = _mask((2, 2, 2), [])

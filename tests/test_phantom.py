@@ -10,7 +10,6 @@ from voxloc.phantom import (
     InfeasibleSpecError,
     PhantomSpec,
     cohort_case_spec,
-    generate_cohort,
     generate_phantom,
     hard_case_ids,
     iter_cohort,
@@ -158,7 +157,7 @@ class TestCohort:
         np.testing.assert_array_equal(solo.image.data, entries[2].case.image.data)
 
     def test_pairwise_distinct_images(self):
-        cases = generate_cohort(4, seed=3, base_spec=SMALL)
+        cases = [e.case for e in iter_cohort(4, seed=3, base_spec=SMALL)]
         for i in range(4):
             for j in range(i + 1, 4):
                 assert np.abs(cases[i].image.data - cases[j].image.data).max() > 0.0
@@ -176,13 +175,13 @@ class TestCohort:
             assert e.case.spec.noise_std <= 0.02
 
     def test_single_case_cohort(self):
-        cases = generate_cohort(1, seed=0, base_spec=SMALL)
-        assert len(cases) == 1
-        assert cases[0].image.dims == (96, 96, 96)
+        entries = list(iter_cohort(1, seed=0, base_spec=SMALL))
+        assert len(entries) == 1
+        assert entries[0].case.image.dims == (96, 96, 96)
 
     def test_empty_cohort_rejected(self):
         with pytest.raises(ValueError):
-            generate_cohort(0)
+            list(iter_cohort(0))
 
 
 class TestCohortFiles:

@@ -230,8 +230,8 @@ class TestPipelineEndToEnd:
 
     def test_deterministic(self, phantom_case):
         cfg = make_config(phantom_case)
-        a = run_pipeline(cfg, phantom_case.image, seed=3)
-        b = run_pipeline(cfg, phantom_case.image, seed=3)
+        a = run_pipeline(cfg, phantom_case.image)
+        b = run_pipeline(cfg, phantom_case.image)
         for side in SIDES:
             assert a.sides[side].target.position == b.sides[side].target.position
             np.testing.assert_array_equal(a.sides[side].heatmap.data, b.sides[side].heatmap.data)

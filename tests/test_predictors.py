@@ -8,7 +8,6 @@ from voxloc.predictors import (
     ConvNetLocalizer,
     ConvNetSpec,
     EchoLocalizer,
-    IntensityBandSegmenter,
     InvalidModelError,
     Localizer,
     MarkerLocalizer,
@@ -20,7 +19,6 @@ from voxloc.predictors import (
     load_weights,
     oracle_localize,
     save_weights,
-    synthetic_segment,
 )
 from voxloc.transforms import RigidTransform, rigid_apply
 from voxloc.volume import Volume3, flip_lr
@@ -417,30 +415,14 @@ class TestTruthMaskSegmenter:
         assert l.data[3, 3, 3] == pytest.approx(r.data[3, 3, 3])
 
     def test_synthetic_segment_wrapper(self):
+        # truth masks in, three Volume3 probability channels out
         left, right = self.make_masks()
         sp = (1.0, 1.0, 1.0)
-        bg, l, r = synthetic_segment(blank(self.dims), Volume3(left.astype(float), sp), Volume3(right.astype(float), sp))
+        seg = TruthMaskSegmenter(Volume3(left.astype(float), sp), Volume3(right.astype(float), sp))
+        bg, l, r = seg.predict(blank(self.dims))
         assert isinstance(bg, Volume3)
         assert (l.data > 0.5).sum() == left.sum()
 
     def test_satisfies_segmenter_protocol(self):
         seg, _, _ = self.seg_for()
         assert isinstance(seg, Segmenter)
-        assert isinstance(IntensityBandSegmenter(), Segmenter)
-
-
-class TestIntensityBandSegmenter:
-    def test_splits_band_at_midplane(self):
-        data = np.zeros((16, 16, 16))
-        data[4, 8, 8] = 0.6  # left half
-        data[12, 8, 8] = 0.6  # right half
-        data[8, 2, 2] = 0.95  # outside band
-        seg = IntensityBandSegmenter()
-        bg, l, r = seg.predict(Volume3(data, (1.0, 1.0, 1.0)))
-        assert l.data[4, 8, 8] > 0.5 and r.data[4, 8, 8] < 0.5
-        assert r.data[12, 8, 8] > 0.5 and l.data[12, 8, 8] < 0.5
-        assert bg.data[8, 2, 2] > 0.5
-
-    def test_rejects_empty_band(self):
-        with pytest.raises(ValueError):
-            IntensityBandSegmenter(band=(0.8, 0.2))

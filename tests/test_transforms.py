@@ -6,21 +6,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy import ndimage
 
 from voxloc.transforms import (
     IntensityCurve,
     RigidTransform,
     TransformPriors,
-    bezier_eval,
+    _bezier_points,
     intensity_apply,
     intensity_apply_inverse,
     rigid_apply,
-    rigid_invert,
     rotation_matrix,
     sample_axis,
     sample_transform,
-    transform_pair_from_json,
-    transform_pair_to_json,
 )
 from voxloc.volume import Volume3
 
@@ -41,34 +39,33 @@ def compact_smooth_volume(dims=(64, 64, 64)):
     return Volume3(envelope * (0.2 + bumps), (1.0, 1.0, 1.0))
 
 
+def bezier_point(curve, t):
+    """Exact cubic Bernstein point of the curve at parameter t, as the lookup table holds it."""
+    x, y = _bezier_points(curve.p1, curve.p2, np.array([t]))[0]
+    return (float(x), float(y))
+
+
 class TestBezierEval:
     def test_identity_curve(self):
         curve = IntensityCurve.identity()
         for t in [0.0, 0.1, 0.37, 0.5, 0.99, 1.0]:
-            x, y = bezier_eval(curve, t)
+            x, y = bezier_point(curve, t)
             assert abs(x - t) <= 1e-12
             assert abs(y - t) <= 1e-12
 
     def test_endpoints(self):
         curve = IntensityCurve((0.3, 0.8), (0.7, 0.1))
-        assert bezier_eval(curve, 0.0) == (0.0, 0.0)
-        assert bezier_eval(curve, 1.0) == (1.0, 1.0)
+        assert bezier_point(curve, 0.0) == (0.0, 0.0)
+        assert bezier_point(curve, 1.0) == (1.0, 1.0)
 
     def test_hand_computed_point(self):
         # P1 = P2 = (0,1), t = 0.5:
         #   x = 3*(0.5)^2*0.5*0 + ... + 0.5^3 = 0.125
         #   y = 0.375 + 0.375 + 0.125 = 0.875
         curve = IntensityCurve((0.0, 1.0), (0.0, 1.0))
-        x, y = bezier_eval(curve, 0.5)
+        x, y = bezier_point(curve, 0.5)
         assert abs(x - 0.125) <= 1e-12
         assert abs(y - 0.875) <= 1e-12
-
-    def test_rejects_out_of_range_parameter(self):
-        curve = IntensityCurve.identity()
-        with pytest.raises(ValueError):
-            bezier_eval(curve, -0.01)
-        with pytest.raises(ValueError):
-            bezier_eval(curve, 1.01)
 
     def test_rejects_controls_outside_unit_square(self):
         with pytest.raises(ValueError):
@@ -78,6 +75,12 @@ class TestBezierEval:
 
 
 class TestIntensityCurve:
+    def test_apply_reads_hand_computed_point(self):
+        # the same Bernstein point as TestBezierEval, read through the lookup table
+        curve = IntensityCurve((0.0, 1.0), (0.0, 1.0))
+        out = intensity_apply(curve, Volume3(np.full((1, 1, 1), 0.125), (1, 1, 1)))
+        assert abs(out.data[0, 0, 0] - 0.875) <= 1e-5
+
     def test_identity_apply_unchanged(self):
         rng = np.random.default_rng(0)
         v = Volume3(rng.random((8, 8, 8)), (1, 1, 1))
@@ -177,7 +180,7 @@ class TestRigidApply:
 class TestRigidInvert:
     def test_invert_identity(self):
         tf = RigidTransform((0, 0, 1), 0.0, (0, 0, 0))
-        inv = rigid_invert(tf)
+        inv = tf.invert()
         assert inv.angle_deg == 0.0
         np.testing.assert_allclose(inv.translation, (0, 0, 0), atol=1e-15)
 
@@ -254,6 +257,35 @@ class TestSampleTransform:
         assert np.max(np.abs(out.data - v.data)) <= 1e-12
 
 
+def rigid_apply_reference(tf, v, interpolation):
+    """Explicit-grid resampling: map every output voxel to its source point, then sample."""
+    pivot = tf.resolve_pivot(v.dims)
+    rot_inv = rotation_matrix(tf.axis, -tf.angle_deg)
+    grids = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in v.dims), indexing="ij")
+    q = np.stack([g.ravel() for g in grids])  # (3, N)
+    coords = rot_inv @ (q - (pivot + np.asarray(tf.translation))[:, None]) + pivot[:, None]
+    order = 1 if interpolation == "trilinear" else 0
+    out = ndimage.map_coordinates(v.data.astype(np.float64), coords, order=order, mode="nearest")
+    return out.reshape(v.dims).astype(v.data.dtype)
+
+
+class TestRigidApplyReference:
+    # the two formulas round the source coordinates differently, so values
+    # may differ by float64 noise, or by one ulp after a float32 cast
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1.2e-7)])
+    @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
+    def test_matches_explicit_grid(self, dtype, tol, interpolation):
+        v = Volume3(np.random.default_rng(9).random((64, 64, 64)).astype(dtype), (1.0, 1.0, 1.0))
+        worst = 0.0
+        for seed in range(50):
+            tf, _ = sample_transform(TransformPriors(), seed)
+            out = rigid_apply(tf, v, interpolation)
+            assert out.data.dtype == dtype
+            ref = rigid_apply_reference(tf, v, interpolation)
+            worst = max(worst, float(np.max(np.abs(out.data.astype(np.float64) - ref))))
+        assert worst <= tol
+
+
 class TestCommutation:
     def test_intensity_commutes_with_nearest_rigid(self):
         # per-voxel maps commute with pure voxel shuffling, bitwise
@@ -263,18 +295,3 @@ class TestCommutation:
         a = rigid_apply(tf, intensity_apply(curve, v), "nearest")
         b = intensity_apply(curve, rigid_apply(tf, v, "nearest"))
         np.testing.assert_array_equal(a.data, b.data)
-
-
-class TestSerialization:
-    def test_json_roundtrip(self):
-        tf, curve = sample_transform(TransformPriors(), 42)
-        obj = transform_pair_to_json(tf, curve)
-        tf2, curve2 = transform_pair_from_json(obj)
-        assert tf2 == tf
-        assert curve2.p1 == curve.p1 and curve2.p2 == curve.p2
-
-    def test_json_schema_keys(self):
-        tf, curve = sample_transform(TransformPriors(), 8)
-        obj = transform_pair_to_json(tf, curve)
-        assert set(obj) == {"axis", "angle_deg", "translation", "curve"}
-        assert set(obj["curve"]) == {"p1", "p2"}

@@ -28,9 +28,8 @@ from voxloc.uncertainty import (
     run_mcdo,
     run_mode,
     run_tta,
-    write_summary_maps,
 )
-from voxloc.volume import Volume3, read_volume
+from voxloc.volume import Volume3
 
 SP = (1.0, 1.0, 1.0)
 
@@ -291,15 +290,6 @@ class TestSummary:
         obj = s.to_json()
         assert set(obj) == {"mode", "n_samples", "base_seed", "argmax_positions", "centroid", "mad", "final_target"}
         assert len(obj["argmax_positions"]) == 4
-
-    def test_write_summary_maps(self, tmp_path):
-        loc = OracleLocalizer(OracleLocalizerConfig(), TargetPoint((8.0, 8.0, 8.0)))
-        s = run_mcdo(loc, blank((16, 16, 16)), McConfig(mode="mcdo", n_samples=4))
-        files = write_summary_maps(s, tmp_path, "case0_left_mcdo")
-        mean = read_volume(tmp_path / files["mean"])
-        np.testing.assert_allclose(mean.data, s.mean_map.data, atol=1e-7)
-        assert (tmp_path / files["summary"]).exists()
-        assert (tmp_path / files["variance"]).with_suffix(".raw").exists()
 
 
 class TestRejectionStats:

@@ -13,7 +13,6 @@ from voxloc.volume import (
     flip_lr,
     read_volume,
     rescale_intensity,
-    resample_isotropic,
     write_volume,
 )
 
@@ -64,16 +63,20 @@ class TestVolume3:
 
 
 class TestResampleIsotropic:
+    # isotropic resampling is downsample_to onto the grid whose dims give
+    # the target spacing
+
     def test_identity(self):
         rng = np.random.default_rng(0)
         v = Volume3(rng.random((6, 7, 8)), (1.0, 1.0, 1.0))
-        out = resample_isotropic(v, 1.0)
+        out = downsample_to(v, v.dims)
         assert out.dims == v.dims
+        assert out.spacing == (1.0, 1.0, 1.0)
         np.testing.assert_allclose(out.data, v.data, atol=1e-12)
 
     def test_constant_upsample(self):
         v = Volume3(np.full((4, 4, 4), 0.7), (2.0, 2.0, 2.0))
-        out = resample_isotropic(v, 1.0)
+        out = downsample_to(v, (8, 8, 8))
         assert out.dims == (8, 8, 8)
         assert out.spacing == (1.0, 1.0, 1.0)
         np.testing.assert_allclose(out.data, 0.7, atol=1e-12)
@@ -85,33 +88,27 @@ class TestResampleIsotropic:
         i = np.arange(dims[0], dtype=np.float64) / 7.0
         data = np.broadcast_to(i[:, None, None], dims).copy()
         v = Volume3(data, (2.0, 1.0, 1.0))
-        out = resample_isotropic(v, 1.0)
+        out = downsample_to(v, (16, 6, 6))
         assert out.dims == (16, 6, 6)
+        assert out.spacing == (1.0, 1.0, 1.0)
         q = np.arange(15)  # q=15 samples index 7.5, clamped; interior only
         expected = (q / 2.0) / 7.0
         np.testing.assert_allclose(out.data[:15, 0, 0], expected, atol=1e-9)
 
-    def test_rejects_bad_spacing(self):
-        v = Volume3(np.zeros((2, 2, 2)), (1, 1, 1))
-        with pytest.raises(ValueError):
-            resample_isotropic(v, 0.0)
-        with pytest.raises(ValueError):
-            resample_isotropic(v, -2.0)
-
     def test_tri_affine_exact(self):
         # trilinear interpolation reproduces tri-affine fields exactly
         v = ramp_volume((9, 8, 7), (1.5, 2.0, 1.0), coeffs=(0.3, 0.25, -0.5, 1.75))
-        out = resample_isotropic(v, 1.0)
+        out = downsample_to(v, (14, 16, 7))
         i, j, k = np.meshgrid(*(np.arange(n, dtype=np.float64) for n in out.dims), indexing="ij")
         # in-bounds sample points only (edges clamp)
-        src = [i * 1.0 / 1.5, j * 1.0 / 2.0, k * 1.0 / 1.0]
+        src = [i * 9.0 / 14.0, j * 8.0 / 16.0, k * 7.0 / 7.0]
         inb = (src[0] <= 8) & (src[1] <= 7) & (src[2] <= 6)
         expected = 0.3 + 0.25 * src[0] - 0.5 * src[1] + 1.75 * src[2]
         assert np.max(np.abs(out.data[inb] - expected[inb])) <= 1e-9
 
     def test_roundtrip_smooth(self):
         v = smooth_volume()
-        coarse = resample_isotropic(v, 1.6)
+        coarse = downsample_to(v, (30, 30, 30))
         back = downsample_to(coarse, v.dims)
         assert np.max(np.abs(back.data - v.data)) <= 0.05
 
