@@ -23,24 +23,25 @@ import io
 import json
 import logging
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
 
 from voxloc.heatmap import HeatmapSpec
-from voxloc.phantom import PhantomSpec, load_case_volumes, read_manifest, write_cohort
-from voxloc.pipeline import SIDES, PipelineConfig, PipelineFailureError, run_pipeline
+from voxloc.phantom import PhantomSpec, derive_seed, load_case_volumes, read_manifest, write_cohort
+from voxloc.pipeline import SIDES, PipelineConfig, run_pipeline
 from voxloc.predictors import (
     ConvNetLocalizer,
     ConvNetSpec,
+    InvalidModelError,
+    Localizer,
     MarkerLocalizer,
     OracleLocalizerConfig,
     TruthMaskSegmenter,
 )
 from voxloc.transforms import TransformPriors
-from voxloc.uncertainty import BoxplotStats, McConfig, rejection_stats, run_mode
-from voxloc.volume import flip_lr
+from voxloc.uncertainty import MODES, BoxplotStats, McConfig, rejection_stats, run_mode
 
 __all__ = [
     "UsageError",
@@ -57,7 +58,7 @@ __all__ = [
 
 log = logging.getLogger(__name__)
 
-MODE_ORDER = ("baseline", "mcdo", "tta", "hybrid")
+MODE_ORDER = ("baseline", *MODES)
 RESULT_COLUMNS = (
     "case_id",
     "side",
@@ -90,7 +91,12 @@ class SchemaError(Exception):
 
 @dataclass(frozen=True)
 class ExperimentConfig:
-    """Everything a generate/run/analyze round needs, JSON-serializable."""
+    """Everything a generate/run/analyze round needs, JSON-serializable.
+
+    Validation builds the augmentation priors (``priors``) and the
+    marker localizer's error model (``oracle``) once; each of those
+    classes checks its own fields, and their errors become usage errors.
+    """
 
     cohort_dir: str = "cohort"
     out_dir: str = "results"
@@ -110,44 +116,46 @@ class ExperimentConfig:
     weight_file: str | None = None
 
     def __post_init__(self):
+        for name in ("cohort_dir", "out_dir"):
+            if not isinstance(getattr(self, name), str):
+                raise UsageError(f"{name} must be a string, got {getattr(self, name)!r}")
+        if not isinstance(self.dims, (list, tuple)):
+            raise UsageError(f"dims must be a list of integers, got {self.dims!r}")
         ints = {name: getattr(self, name) for name in ("n_cases", "n_hard", "n_samples", "seed", "workers")}
         ints.update((f"dims[{i}]", d) for i, d in enumerate(self.dims))
         for name, value in ints.items():
             if not isinstance(value, int) or isinstance(value, bool):
                 raise UsageError(f"{name} must be an integer, got {value!r}")
-        object.__setattr__(self, "dims", tuple(self.dims))
-        object.__setattr__(self, "modes", tuple(self.modes))
-        object.__setattr__(self, "shift_range_mm", tuple(float(x) for x in self.shift_range_mm))
-        object.__setattr__(self, "rotate_range_deg", tuple(float(x) for x in self.rotate_range_deg))
-        object.__setattr__(self, "curve_range", tuple(float(x) for x in self.curve_range))
-        if not self.modes or len(set(self.modes)) != len(self.modes):
-            raise UsageError(f"modes must be a nonempty set, got {self.modes}")
+        if self.seed < 0:
+            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        try:
+            object.__setattr__(self, "dims", tuple(self.dims))
+            object.__setattr__(self, "modes", tuple(self.modes))
+            for name in ("shift_range_mm", "rotate_range_deg", "curve_range"):
+                object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
+            priors = TransformPriors(self.shift_range_mm, self.rotate_range_deg, self.curve_range)
+            oracle = OracleLocalizerConfig(
+                jitter_std=self.jitter_std,
+                failure_rate=self.hard_failure_rate,
+                heatmap=HeatmapSpec(sigma_mm=self.heatmap_sigma_mm),
+            )
+            weights_missing = self.weight_file is not None and not Path(self.weight_file).exists()
+        except (TypeError, ValueError) as exc:
+            raise UsageError(f"bad config value: {exc}") from exc
+        # plain attributes, not fields: asdict() and the config hash skip them
+        object.__setattr__(self, "priors", priors)
+        object.__setattr__(self, "oracle", oracle)
         unknown = [m for m in self.modes if m not in MODE_ORDER]
         if unknown:
             raise UsageError(f"unknown modes {unknown}; choose from {MODE_ORDER}")
+        if not self.modes or len(set(self.modes)) != len(self.modes):
+            raise UsageError(f"modes must be a nonempty set, got {self.modes}")
         if self.n_samples < 2:
             raise UsageError(f"n_samples must be >= 2, got {self.n_samples}")
         if self.workers < 1:
             raise UsageError(f"workers must be >= 1, got {self.workers}")
-        if not 0.0 <= self.hard_failure_rate <= 1.0:
-            raise UsageError(f"hard_failure_rate must lie in [0,1], got {self.hard_failure_rate}")
-        if self.weight_file is not None and not Path(self.weight_file).exists():
+        if weights_missing:
             raise UsageError(f"weight file {self.weight_file} does not exist")
-
-    @property
-    def priors(self) -> TransformPriors:
-        return TransformPriors(
-            s_range=self.shift_range_mm,
-            r_range=self.rotate_range_deg,
-            curve_control_range=self.curve_range,
-        )
-
-    def to_json(self) -> dict:
-        obj = asdict(self)
-        for key, value in obj.items():
-            if isinstance(value, tuple):
-                obj[key] = list(value)
-        return obj
 
 
 def load_config(path: str | Path | None = None, **overrides) -> ExperimentConfig:
@@ -180,13 +188,9 @@ _HASH_EXCLUDED = ("cohort_dir", "out_dir", "workers")
 
 
 def config_hash(cfg: ExperimentConfig) -> str:
-    obj = {k: v for k, v in cfg.to_json().items() if k not in _HASH_EXCLUDED}
+    obj = {k: v for k, v in asdict(cfg).items() if k not in _HASH_EXCLUDED}
     canonical = json.dumps(obj, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode()).hexdigest()[:12]
-
-
-def derive_seed(*path: int) -> int:
-    return int(np.random.SeedSequence(list(path)).generate_state(1)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -220,16 +224,16 @@ def cmd_generate(cfg: ExperimentConfig) -> int:
 # ---------------------------------------------------------------------------
 
 
-def _build_localizer(cfg: ExperimentConfig, failure_rate: float):
-    if cfg.weight_file is not None:
-        return ConvNetLocalizer.from_file(ConvNetSpec(), cfg.weight_file)
-    return MarkerLocalizer(
-        OracleLocalizerConfig(
-            jitter_std=cfg.jitter_std,
-            failure_rate=failure_rate,
-            heatmap=HeatmapSpec(sigma_mm=cfg.heatmap_sigma_mm),
-        )
-    )
+def _build_localizers(cfg: ExperimentConfig) -> dict[bool, Localizer]:
+    """The localizer for easy (False) and hard (True) cases; reads the weight file once."""
+    if cfg.weight_file is None:
+        easy = MarkerLocalizer(replace(cfg.oracle, failure_rate=0.0))
+        return {False: easy, True: MarkerLocalizer(cfg.oracle)}
+    try:
+        net = ConvNetLocalizer.from_file(ConvNetSpec(), cfg.weight_file)
+    except (InvalidModelError, OSError, ValueError, KeyError, TypeError) as exc:
+        raise SchemaError(f"weight file {cfg.weight_file} is unusable: {exc}") from exc
+    return {False: net, True: net}
 
 
 def _row(case_id: int, side: str, mode: str, truth: list, pred=None, error_mm=None, mad=None,
@@ -249,9 +253,8 @@ def _row(case_id: int, side: str, mode: str, truth: list, pred=None, error_mm=No
     }
 
 
-def _case_task(args: tuple[dict, str, dict]) -> tuple[list[dict], dict]:
-    cfg_fields, manifest_path, entry = args
-    cfg = ExperimentConfig(**cfg_fields)
+def _case_task(args: tuple[ExperimentConfig, str, dict, Localizer]) -> tuple[list[dict], dict]:
+    cfg, manifest_path, entry, localizer = args
     case_id = int(entry["id"])
     truths = {s: list(map(float, entry["truth_targets"][s])) for s in SIDES}
     case_json: dict = {
@@ -266,11 +269,10 @@ def _case_task(args: tuple[dict, str, dict]) -> tuple[list[dict], dict]:
     except Exception as exc:  # noqa: BLE001 - any load problem fails the case
         case_json["error"] = str(exc)
     else:
-        localizer = _build_localizer(cfg, cfg.hard_failure_rate if entry["hard"] else 0.0)
         segmenter = TruthMaskSegmenter(left_mask, right_mask)
         try:
             result = run_pipeline(PipelineConfig(segmenter=segmenter, localizer=localizer), image)
-        except PipelineFailureError as exc:
+        except Exception as exc:  # noqa: BLE001 - a pipeline failure fails the case
             case_json["error"] = str(exc)
         else:
             case_json["pipeline"] = result.to_json()
@@ -283,30 +285,24 @@ def _case_task(args: tuple[dict, str, dict]) -> tuple[list[dict], dict]:
             rows.extend(_row(case_id, side, mode, truth) for mode in cfg.modes)
             continue
         side_res = sides[side]
-        crop_in = flip_lr(side_res.crop) if side == "left" else side_res.crop
-        extent0 = side_res.crop.dims[0]
-        low = np.asarray(side_res.box.low, dtype=np.float64)
         for mode in cfg.modes:
-            mode_idx = MODE_ORDER.index(mode)
             t0 = time.perf_counter()
             mad_val = None
             try:
                 if mode == "baseline":
-                    pred = side_res.target.as_array.copy()
+                    target = side_res.target
                 else:
                     mc = McConfig(
                         mode=mode,
                         n_samples=cfg.n_samples,
                         priors=cfg.priors,
-                        base_seed=derive_seed(cfg.seed, case_id, side_idx, mode_idx),
+                        base_seed=derive_seed(cfg.seed, case_id, side_idx, MODE_ORDER.index(mode)),
                         keep_samples=False,
                     )
-                    summary = run_mode(localizer, crop_in, mc)
-                    peak = summary.final_target.as_array.copy()
-                    if side == "left":
-                        peak[0] = extent0 - 1 - peak[0]
-                    pred = np.clip(low + peak, 0.0, np.asarray(image.dims, dtype=np.float64) - 1.0)
+                    summary = run_mode(localizer, side_res.local_crop, mc)
+                    target = side_res.place(summary.mean_map)
                     mad_val = float(summary.mad)
+                pred = target.as_array
                 error_mm = float(np.linalg.norm((pred - truth) * np.asarray(image.spacing)))
             except Exception as exc:  # noqa: BLE001 - a mode failure is a row failure
                 rows.append(_row(case_id, side, mode, truth, runtime_ms=(time.perf_counter() - t0) * 1e3))
@@ -353,51 +349,23 @@ def _apply_flags(rows: list[dict], modes) -> None:
             row["flagged"] = pos in flagged
 
 
-def _fmt(value, kind: str) -> str:
+def _fmt(value) -> str:
+    """One CSV cell: empty for None, true/false for bools, six decimals for floats."""
     if value is None:
         return ""
-    if kind == "float":
-        return f"{value:.6f}"
-    if kind == "bool":
+    if isinstance(value, bool):
         return "true" if value else "false"
+    if isinstance(value, float):
+        return f"{value:.6f}"
     return str(value)
 
 
-def _write_results_csv(path: Path, rows: list[dict], header_comment: str) -> None:
+def _write_csv(path: Path, comment: str, header, rows) -> None:
     buf = io.StringIO()
-    buf.write(header_comment + "\n")
+    buf.write(comment + "\n")
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(RESULT_COLUMNS)
-    for r in rows:
-        pred = r["pred"] or (None, None, None)
-        truth = r["truth"] or (None, None, None)
-        writer.writerow(
-            [
-                r["case_id"],
-                r["side"],
-                r["mode"],
-                r["status"],
-                _fmt(pred[0], "float"),
-                _fmt(pred[1], "float"),
-                _fmt(pred[2], "float"),
-                _fmt(truth[0], "float"),
-                _fmt(truth[1], "float"),
-                _fmt(truth[2], "float"),
-                _fmt(r["error_mm"], "float"),
-                _fmt(r["mad"], "float"),
-                _fmt(r["flagged"], "bool"),
-            ]
-        )
-    path.write_text(buf.getvalue())
-
-
-def _write_timings_csv(path: Path, rows: list[dict], header_comment: str) -> None:
-    buf = io.StringIO()
-    buf.write(header_comment + "\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["case_id", "side", "mode", "runtime_ms"])
-    for r in rows:
-        writer.writerow([r["case_id"], r["side"], r["mode"], f"{r['runtime_ms']:.3f}"])
+    writer.writerow(header)
+    writer.writerows([_fmt(value) for value in row] for row in rows)
     path.write_text(buf.getvalue())
 
 
@@ -410,19 +378,16 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     if not entries:
         raise SchemaError(f"manifest {manifest_path} lists no cases")
 
-    cfg_fields = {**asdict(cfg)}
-    tasks = [(cfg_fields, str(manifest_path), entry) for entry in entries]
+    localizers = _build_localizers(cfg)
+    tasks = [(cfg, str(manifest_path), entry, localizers[bool(entry["hard"])]) for entry in entries]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_case_task, tasks))
     else:
         outcomes = [_case_task(t) for t in tasks]
 
-    rows: list[dict] = []
-    case_jsons: list[dict] = []
-    for case_rows, case_json in outcomes:
-        rows.extend(case_rows)
-        case_jsons.append(case_json)
+    rows = [row for case_rows, _ in outcomes for row in case_rows]
+    case_jsons = [case_json for _, case_json in outcomes]
     rows.sort(key=lambda r: (r["case_id"], r["side"], MODE_ORDER.index(r["mode"])))
     _apply_flags(rows, cfg.modes)
 
@@ -430,8 +395,22 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = config_hash(cfg)
     comment = f"# config_hash={digest} seed={cfg.seed}"
-    _write_results_csv(out_dir / "results.csv", rows, comment)
-    _write_timings_csv(out_dir / "timings.csv", rows, comment)
+    _write_csv(
+        out_dir / "results.csv",
+        comment,
+        RESULT_COLUMNS,
+        (
+            [r["case_id"], r["side"], r["mode"], r["status"], *(r["pred"] or (None,) * 3), *r["truth"],
+             r["error_mm"], r["mad"], r["flagged"]]
+            for r in rows
+        ),
+    )
+    _write_csv(
+        out_dir / "timings.csv",
+        comment,
+        ("case_id", "side", "mode", "runtime_ms"),
+        ([r["case_id"], r["side"], r["mode"], f"{r['runtime_ms']:.3f}"] for r in rows),
+    )
     cases_dir = out_dir / "cases"
     cases_dir.mkdir(exist_ok=True)
     for case_json in case_jsons:
@@ -470,7 +449,11 @@ def _read_results(path: Path) -> tuple[dict, list[dict]]:
     if reader.fieldnames is None or not set(RESULT_COLUMNS) <= set(reader.fieldnames):
         missing = sorted(set(RESULT_COLUMNS) - set(reader.fieldnames or ()))
         raise SchemaError(f"results file {path} is missing columns {missing}")
-    return meta, list(reader)
+    records = list(reader)
+    unknown = sorted({r["mode"] for r in records} - set(MODE_ORDER))
+    if unknown:
+        raise SchemaError(f"results file {path} has unknown modes {unknown}; expected {MODE_ORDER}")
+    return meta, records
 
 
 def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: str | Path) -> int:
@@ -484,13 +467,10 @@ def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: st
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"manifest {manifest_path} is malformed: {exc}") from exc
 
-    modes_present = []
-    for r in records:
-        if r["mode"] not in modes_present:
-            modes_present.append(r["mode"])
-
-    long_rows: list[dict] = []
+    modes_present = list(dict.fromkeys(r["mode"] for r in records))
+    long_rows: list[list] = []
     report_modes: dict[str, dict] = {}
+    hard_lookup = set(hard_cases)
     for mode in modes_present:
         if mode == "baseline":
             continue
@@ -499,7 +479,7 @@ def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: st
             continue
         flagged_set = set(stats.flagged)
         flagged_cases = sorted({int(scored[i]["case_id"]) for i in flagged_set})
-        hits = set(flagged_cases) & set(hard_cases)
+        hits = set(flagged_cases) & hard_lookup
         recall = len(hits) / len(hard_cases) if hard_cases else None
         precision = len(hits) / len(flagged_cases) if flagged_cases else None
         report_modes[mode] = {
@@ -509,18 +489,9 @@ def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: st
             "precision": precision,
             "n_scored": len(scored),
         }
-        hard_lookup = set(hard_cases)
         for i, r in enumerate(scored):
-            long_rows.append(
-                {
-                    "case_id": int(r["case_id"]),
-                    "side": r["side"],
-                    "mode": mode,
-                    "mad": mads[i],
-                    "flagged": i in flagged_set,
-                    "hard": int(r["case_id"]) in hard_lookup,
-                }
-            )
+            case_id = int(r["case_id"])
+            long_rows.append([case_id, r["side"], mode, mads[i], i in flagged_set, case_id in hard_lookup])
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -532,22 +503,12 @@ def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: st
     }
     (out_dir / "report.json").write_text(json.dumps(report, sort_keys=True, indent=2) + "\n")
 
-    long_rows.sort(key=lambda r: (r["case_id"], r["side"], MODE_ORDER.index(r["mode"])))
-    buf = io.StringIO()
-    buf.write(f"# config_hash={meta.get('config_hash', '')} seed={meta.get('seed', '')}\n")
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["case_id", "side", "mode", "mad", "flagged", "hard"])
-    for r in long_rows:
-        writer.writerow(
-            [
-                r["case_id"],
-                r["side"],
-                r["mode"],
-                f"{r['mad']:.6f}",
-                "true" if r["flagged"] else "false",
-                "true" if r["hard"] else "false",
-            ]
-        )
-    (out_dir / "analysis_long.csv").write_text(buf.getvalue())
+    long_rows.sort(key=lambda r: (r[0], r[1], MODE_ORDER.index(r[2])))
+    _write_csv(
+        out_dir / "analysis_long.csv",
+        f"# config_hash={meta.get('config_hash', '')} seed={meta.get('seed', '')}",
+        ("case_id", "side", "mode", "mad", "flagged", "hard"),
+        long_rows,
+    )
     log.info("wrote report for %d modes to %s", len(report_modes), out_dir)
     return EXIT_OK

@@ -29,6 +29,7 @@ __all__ = [
     "generate_phantom",
     "CohortEntry",
     "hard_case_ids",
+    "derive_seed",
     "cohort_case_spec",
     "iter_cohort",
     "write_cohort",
@@ -254,6 +255,11 @@ def hard_case_ids(n: int, n_hard: int, seed: int) -> tuple[int, ...]:
     return tuple(sorted(int(i) for i in rng.choice(n, size=n_hard, replace=False)))
 
 
+def derive_seed(*path: int) -> int:
+    """One 32-bit seed per path of non-negative ints, e.g. (seed, case id)."""
+    return int(np.random.SeedSequence(list(path)).generate_state(1)[0])
+
+
 def cohort_case_spec(case_id: int, seed: int, base: PhantomSpec, hard: bool) -> PhantomSpec:
     """Spec for one cohort case; a function of (seed, case_id) only.
 
@@ -261,13 +267,12 @@ def cohort_case_spec(case_id: int, seed: int, base: PhantomSpec, hard: bool) -> 
     give distinct images; hard cases get large displacement plus heavy
     noise on top.
     """
-    case_seed = int(np.random.SeedSequence([seed, case_id]).generate_state(1)[0])
     rng = np.random.default_rng(np.random.SeedSequence([seed, case_id, 1]))
     enlargement = HARD_ENLARGEMENT_MM if hard else EASY_ENLARGEMENT_MM
     noise = HARD_NOISE_STD if hard else EASY_NOISE_STD
     return replace(
         base,
-        seed=case_seed,
+        seed=derive_seed(seed, case_id),
         ventricle_enlargement_mm=float(rng.uniform(*enlargement)),
         noise_std=float(rng.uniform(*noise)),
     )
@@ -286,14 +291,6 @@ def iter_cohort(
     for i in range(n):
         spec = cohort_case_spec(i, seed, base, i in hard)
         yield CohortEntry(i, generate_phantom(spec), i in hard)
-
-
-def _spec_echo(spec: PhantomSpec) -> dict:
-    echo = asdict(spec)
-    for key, value in echo.items():
-        if isinstance(value, tuple):
-            echo[key] = list(value)
-    return echo
 
 
 def write_cohort(
@@ -328,7 +325,7 @@ def write_cohort(
                     "right": list(case.truth_right.position),
                 },
                 "hard": hard,
-                "spec": _spec_echo(case.spec),
+                "spec": asdict(case.spec),
             }
         )
     manifest = {"seed": seed, "n": n, "n_hard": n_hard, "cases": cases}

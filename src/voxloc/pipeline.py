@@ -1,18 +1,22 @@
 """Two-stage localization: coarse segmentation, crop, fine localization.
 
-Stage 1 works on a downsampled copy of the scan: segment, binarize each
-foreground channel, keep the largest connected component, resample the
-masks back to the native grid and take each component's bounding-box
-center. Stage 2 crops a fixed-extent block around each center, flips the
-left crop so both sides share the right-side orientation, runs the
-localizer, flips the left heatmap back, and maps each argmax into
-whole-volume voxel coordinates by adding the crop's low corner.
+Stage 1 works on a copy of the scan resampled to ``COARSE_DIMS``:
+segment, binarize each foreground channel, keep the largest
+26-connected component, resample the masks back to the native grid and
+take each component's bounding-box center. Stage 2 crops a
+``CROP_EXTENT`` block around each center and runs the localizer in one
+frame for both sides: the left crop is mirrored along axis 0 so it
+shares the right-side orientation. ``SideResult`` owns that crop frame.
+Its ``local_crop`` is what the localizer sees, and ``place`` maps any
+localizer-frame heatmap to a whole-volume target: mirror back on the
+left, argmax, add the crop's low corner, clip to the grid. The
+pipeline's own target and every sampled target go through that rule.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 from scipy import ndimage
@@ -24,6 +28,8 @@ from voxloc.volume import Volume3, VoxelBox, crop_box, downsample_to, flip_lr
 __all__ = [
     "EmptyComponentError",
     "PipelineFailureError",
+    "COARSE_DIMS",
+    "CROP_EXTENT",
     "PipelineConfig",
     "SideResult",
     "PipelineResult",
@@ -43,38 +49,56 @@ class PipelineFailureError(Exception):
     """Both sides failed; the pipeline has no output."""
 
 
+#: Grid of the stage-1 copy of the scan.
+COARSE_DIMS = (80, 80, 80)
+#: Size in voxels of each stage-2 crop.
+CROP_EXTENT = (64, 64, 64)
+
+
 @dataclass(frozen=True)
 class PipelineConfig:
-    """Wiring and fixed geometry for one pipeline instance."""
+    """Wiring for one pipeline instance."""
 
     segmenter: Segmenter
     localizer: Localizer
-    coarse_dims: tuple[int, int, int] = (80, 80, 80)
-    crop_extent: tuple[int, int, int] = (64, 64, 64)
-    connectivity: int = 26
 
-    def __post_init__(self):
-        coarse = tuple(int(d) for d in self.coarse_dims)
-        extent = tuple(int(e) for e in self.crop_extent)
-        if len(coarse) != 3 or any(d < 1 for d in coarse):
-            raise ValueError(f"coarse dims must be positive, got {self.coarse_dims}")
-        if len(extent) != 3 or any(e < 1 for e in extent):
-            raise ValueError(f"crop extent must be positive, got {self.crop_extent}")
-        if self.connectivity not in (6, 26):
-            raise ValueError(f"connectivity must be 6 or 26, got {self.connectivity}")
-        object.__setattr__(self, "coarse_dims", coarse)
-        object.__setattr__(self, "crop_extent", extent)
+
+def _mirror(side: str, v: Volume3) -> Volume3:
+    # native <-> localizer frame; mirroring is its own inverse
+    return flip_lr(v) if side == "left" else v
 
 
 @dataclass(frozen=True)
 class SideResult:
-    """Stage-2 output for one side, heatmap in the original orientation."""
+    """Stage-2 output for one side, built from the localizer-frame heatmap.
+
+    ``local_crop`` is the crop in the localizer frame (mirrored on the
+    left); ``crop``, ``heatmap`` and ``target`` are in the native
+    orientation. ``grid`` is the dims of the whole volume.
+    """
 
     side: str
     box: VoxelBox
+    grid: tuple[int, int, int]
     crop: Volume3
-    heatmap: Volume3
-    target: TargetPoint
+    local_crop: Volume3
+    local_heatmap: InitVar[Volume3]
+    heatmap: Volume3 = field(init=False)
+    target: TargetPoint = field(init=False)
+
+    def __post_init__(self, local_heatmap: Volume3):
+        object.__setattr__(self, "heatmap", _mirror(self.side, local_heatmap))
+        object.__setattr__(self, "target", self._place_native(self.heatmap))
+
+    def place(self, local_heatmap: Volume3) -> TargetPoint:
+        """Whole-volume target of a heatmap predicted on ``local_crop``."""
+        return self._place_native(_mirror(self.side, local_heatmap))
+
+    def _place_native(self, heatmap: Volume3) -> TargetPoint:
+        peak = argmax_position(heatmap).as_array
+        whole = np.asarray(self.box.low, dtype=np.float64) + peak
+        whole = np.clip(whole, 0.0, np.asarray(self.grid) - 1.0)
+        return TargetPoint(tuple(whole), side=self.side)
 
 
 @dataclass(frozen=True)
@@ -142,7 +166,7 @@ def bounding_box_center(mask: Volume3) -> tuple[int, int, int]:
 
 def _coarse_centers(cfg: PipelineConfig, image: Volume3, timings: dict) -> dict[str, tuple[int, int, int]]:
     t0 = time.perf_counter()
-    coarse = downsample_to(image, cfg.coarse_dims, interpolation="trilinear")
+    coarse = downsample_to(image, COARSE_DIMS, interpolation="trilinear")
     timings["downsample"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
@@ -153,9 +177,7 @@ def _coarse_centers(cfg: PipelineConfig, image: Volume3, timings: dict) -> dict[
     centers: dict[str, tuple[int, int, int]] = {}
     for side, prob in (("left", left_prob), ("right", right_prob)):
         try:
-            component = largest_connected_component(
-                prob.with_data((prob.data >= 0.5).astype(np.float64)), cfg.connectivity
-            )
+            component = largest_connected_component(prob.with_data((prob.data >= 0.5).astype(np.float64)))
         except EmptyComponentError:
             continue
         full = downsample_to(component, image.dims, interpolation="nearest")
@@ -180,32 +202,20 @@ def run_pipeline(cfg: PipelineConfig, image: Volume3) -> PipelineResult:
     if not centers:
         raise PipelineFailureError("segmentation produced no usable component on either side")
 
-    dims = np.asarray(image.dims)
     sides: dict[str, SideResult] = {}
     timings["crop"] = 0.0
     timings["localize"] = 0.0
     for side, center in centers.items():
         t0 = time.perf_counter()
-        box = VoxelBox(center=center, extent=cfg.crop_extent)
+        box = VoxelBox(center=center, extent=CROP_EXTENT)
         crop = crop_box(image, box)
         timings["crop"] += (time.perf_counter() - t0) * 1e3
 
         t0 = time.perf_counter()
-        crop_in = flip_lr(crop) if side == "left" else crop
-        heat = cfg.localizer.predict(crop_in, stochastic=False)
-        heat_native = flip_lr(heat) if side == "left" else heat
-        peak = argmax_position(heat_native).as_array
-        whole = np.asarray(box.low, dtype=np.float64) + peak
-        whole = np.clip(whole, 0.0, dims - 1.0)
+        local_crop = _mirror(side, crop)
+        heat = cfg.localizer.predict(local_crop, stochastic=False)
+        sides[side] = SideResult(side, box, image.dims, crop, local_crop, heat)
         timings["localize"] += (time.perf_counter() - t0) * 1e3
-
-        sides[side] = SideResult(
-            side=side,
-            box=box,
-            crop=crop,
-            heatmap=heat_native,
-            target=TargetPoint(tuple(whole), side=side),
-        )
 
     timings["total"] = (time.perf_counter() - total0) * 1e3
     failed = tuple(side for side in SIDES if side not in sides)

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Protocol, runtime_checkable
 
 import numpy as np
-from scipy import ndimage
+from scipy import ndimage, special
 
 from voxloc.heatmap import HeatmapSpec, TargetPoint, gaussian_heatmap
 from voxloc.volume import Volume3, downsample_to
@@ -141,16 +141,6 @@ def _conv3d_same(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndar
     return out
 
 
-def _sigmoid(x: np.ndarray) -> np.ndarray:
-    # split by sign to stay overflow-free
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
-
-
 class ConvNetLocalizer:
     """Forward-only conv stack with seeded or file-backed weights."""
 
@@ -192,7 +182,7 @@ class ConvNetLocalizer:
         for i, (w, b) in enumerate(self.weights):
             x = _conv3d_same(x, w, b)
             if i == last:
-                x = _sigmoid(x)
+                x = special.expit(x)
             else:
                 np.maximum(x, 0.0, out=x)
                 if stochastic and i in self.spec.dropout_layers:
@@ -327,6 +317,12 @@ class OracleLocalizer:
         return oracle_localize(self.cfg, self.truth, v, stochastic=stochastic, seed=seed)
 
 
+# MarkerLocalizer's detection: smoothing width, and the half-width in voxels
+# of the centroid window around the smoothed argmax
+_MARKER_SMOOTH_SIGMA_MM = 1.0
+_MARKER_REFINE_RADIUS = 2
+
+
 class MarkerLocalizer:
     """Localizer that finds the brightest compact blob in the volume.
 
@@ -338,17 +334,15 @@ class MarkerLocalizer:
     applied on top of the detected position.
     """
 
-    def __init__(self, cfg: OracleLocalizerConfig, smooth_sigma_mm: float = 1.0, refine_radius: int = 2):
+    def __init__(self, cfg: OracleLocalizerConfig):
         self.cfg = cfg
-        self.smooth_sigma_mm = float(smooth_sigma_mm)
-        self.refine_radius = int(refine_radius)
 
     def detect(self, v: Volume3) -> TargetPoint:
         data = v.data.astype(np.float64, copy=False)
-        sigma_vox = [self.smooth_sigma_mm / s for s in v.spacing]
+        sigma_vox = [_MARKER_SMOOTH_SIGMA_MM / s for s in v.spacing]
         smooth = ndimage.gaussian_filter(data, sigma=sigma_vox, mode="nearest")
         idx = np.unravel_index(int(np.argmax(smooth.ravel(order="F"))), v.dims, order="F")
-        r = self.refine_radius
+        r = _MARKER_REFINE_RADIUS
         lo = [max(0, idx[a] - r) for a in range(3)]
         hi = [min(v.dims[a], idx[a] + r + 1) for a in range(3)]
         window = smooth[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]]

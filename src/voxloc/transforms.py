@@ -166,14 +166,6 @@ class IntensityCurve:
         self.lut_x.setflags(write=False)
         self.lut_y.setflags(write=False)
 
-    @property
-    def p0(self) -> tuple[float, float]:
-        return (0.0, 0.0)
-
-    @property
-    def p3(self) -> tuple[float, float]:
-        return (1.0, 1.0)
-
     @classmethod
     def identity(cls) -> "IntensityCurve":
         return cls((1.0 / 3.0, 1.0 / 3.0), (2.0 / 3.0, 2.0 / 3.0))

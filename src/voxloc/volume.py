@@ -3,7 +3,8 @@
 Conventions used throughout the package:
 
 * ``data[i, j, k]`` indexes axes ``(0, 1, 2)``; axis 0 runs anatomical
-  left to right.
+  left to right in every volume. Files record this as the header tag
+  ``AXIS0_CONVENTION`` (``"LR"``), and reading rejects any other tag.
 * Voxel ``(i, j, k)`` has its physical center at
   ``(i * spacing[0], j * spacing[1], k * spacing[2])`` millimetres.
 * The linear (file) order is x-fastest: element ``(i, j, k)`` sits at
@@ -16,7 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -44,12 +45,10 @@ class Volume3:
         data: 3-D float array, shape equal to ``dims``. The buffer is
             marked read-only at construction.
         spacing: per-axis voxel spacing in mm, all entries > 0.
-        axis0: orientation tag of axis 0 (always ``"LR"``).
     """
 
     data: np.ndarray
     spacing: tuple[float, float, float]
-    axis0: str = field(default=AXIS0_CONVENTION)
 
     def __post_init__(self):
         arr = np.asarray(self.data)
@@ -62,8 +61,6 @@ class Volume3:
         spacing = tuple(float(s) for s in self.spacing)
         if len(spacing) != 3 or any(s <= 0 for s in spacing):
             raise ValueError(f"spacing must be three positive reals, got {self.spacing}")
-        if self.axis0 != AXIS0_CONVENTION:
-            raise ValueError(f"unsupported axis-0 convention {self.axis0!r}")
         arr = arr.copy() if not arr.flags.owndata or arr.base is not None else arr
         arr.setflags(write=False)
         object.__setattr__(self, "data", arr)
@@ -243,7 +240,7 @@ def write_volume(v: Volume3, header_path: str | Path) -> None:
         "spacing": list(v.spacing),
         "dtype": _HEADER_DTYPE,
         "order": _HEADER_ORDER,
-        "axis0": v.axis0,
+        "axis0": AXIS0_CONVENTION,
     }
     header_path.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
     payload = np.ascontiguousarray(v.data.astype("<f4").ravel(order="F"))

@@ -11,10 +11,13 @@ import os
 import shutil
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 import voxloc
 from voxloc.cli import main
@@ -32,6 +35,7 @@ from voxloc.experiment import (
     config_hash,
     load_config,
 )
+from voxloc.predictors import ConvNetLocalizer, ConvNetSpec, save_weights
 
 DIMS = (96, 96, 96)
 N_CASES = 4
@@ -395,6 +399,12 @@ class TestAnalyze:
         with pytest.raises(SchemaError, match="non-numeric mad"):
             cmd_analyze(tmp_path / "results.csv", tmp_path / "manifest.json", tmp_path)
 
+    def test_unknown_mode_is_schema_error(self, tmp_path):
+        write_results_fixture(tmp_path / "results.csv", {i: 1.0 + i for i in range(5)}, mode="foo")
+        write_manifest_fixture(tmp_path / "manifest.json", 5, set())
+        with pytest.raises(SchemaError, match="unknown modes"):
+            cmd_analyze(tmp_path / "results.csv", tmp_path / "manifest.json", tmp_path)
+
     def test_missing_results_is_schema_error(self, tmp_path):
         write_manifest_fixture(tmp_path / "manifest.json", 1, set())
         with pytest.raises(SchemaError):
@@ -451,8 +461,28 @@ class TestCli:
             (["generate", "--n", "1", "--dims", "32,32,32"], {}),
             (["run"], {"n_samples": 2.5}),
             (["run"], {"workers": True}),
+            (["run"], {"jitter_std": -1}),
+            (["run"], {"heatmap_sigma_mm": 0}),
+            (["run"], {"jitter_std": "abc"}),
+            (["generate", "--n", "1", "--dims", "64,64,64", "--seed", "-1"], {}),
+            (["run"], {"shift_range_mm": [5, -5]}),
+            (["run"], {"curve_range": [0, 2]}),
+            (["run"], {"rotate_range_deg": [1]}),
+            (["run", "--seed", "-1"], {}),
         ],
-        ids=["dims-below-64", "fractional-n-samples", "bool-workers"],
+        ids=[
+            "dims-below-64",
+            "fractional-n-samples",
+            "bool-workers",
+            "negative-jitter",
+            "zero-heatmap-sigma",
+            "string-jitter",
+            "generate-negative-seed",
+            "empty-shift-range",
+            "curve-range-past-1",
+            "one-value-rotate-range",
+            "run-negative-seed",
+        ],
     )
     def test_invalid_request_is_one_line_usage_error(self, tmp_path, capsys, argv, config):
         cfg_path = tmp_path / "cfg.json"
@@ -466,6 +496,24 @@ class TestCli:
     def test_run_without_cohort_is_io_error(self, tmp_path):
         rc = main(["run", "--cohort", str(tmp_path / "missing"), "--out", str(tmp_path / "r")])
         assert rc == 4
+
+    @pytest.mark.parametrize("defect", ["f16-dtype", "layout-mismatch"])
+    def test_malformed_weight_file_is_one_line_io_error(self, cohort_dir, tmp_path, capsys, defect):
+        weights = tmp_path / "weights.json"
+        if defect == "f16-dtype":
+            save_weights(ConvNetLocalizer.from_seed(ConvNetSpec()), weights)
+            weights.write_text(weights.read_text().replace('"f32"', '"f16"'))
+        else:
+            save_weights(ConvNetLocalizer.from_seed(ConvNetSpec(channels=(4, 1))), weights)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"weight_file": str(weights)}))
+        out = tmp_path / "r"
+        assert main(["run", "--config", str(cfg_path), "--cohort", str(cohort_dir), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert not out.exists()  # stopped before any case ran
 
     def test_modes_flag_filters(self, cohort_dir, tmp_path):
         rc = main(
@@ -522,3 +570,45 @@ class TestCli:
         pyproject = Path(voxloc.__file__).resolve().parents[2] / "pyproject.toml"
         meta = tomllib.loads(pyproject.read_text())
         assert meta["project"]["scripts"]["voxloc"] == "voxloc.cli:main"
+
+
+# A config file field set to any JSON value: null, bool, int, finite float,
+# string, or a short list of those.
+JSON_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.text(st.characters(codec="utf-8"), max_size=8),
+)
+JSON_VALUES = st.one_of(JSON_SCALARS, st.lists(JSON_SCALARS, max_size=3))
+# the command line below sets the other fields
+DRAWN_FIELDS = sorted(set(ExperimentConfig.__dataclass_fields__) - {"cohort_dir", "out_dir", "modes", "n_samples", "workers"})
+
+
+@pytest.fixture(scope="module")
+def one_case_cohort(tmp_path_factory):
+    root = tmp_path_factory.mktemp("one_case")
+    cfg = ExperimentConfig(cohort_dir=str(root / "cohort"), n_cases=1, dims=(64, 64, 64), seed=3)
+    assert cmd_generate(cfg) == EXIT_OK
+    return root / "cohort"
+
+
+class TestCliConfigValues:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(field=st.sampled_from(DRAWN_FIELDS), value=JSON_VALUES)
+    @example(field="heatmap_sigma_mm", value=1.3407807929942597e154)  # sigma**2 overflows in the pipeline
+    def test_any_config_value_exits_with_a_contract_code(self, one_case_cohort, tmp_path, capsys, field, value):
+        capsys.readouterr()
+        work = Path(tempfile.mkdtemp(dir=tmp_path))
+        cfg_path = work / "cfg.json"
+        cfg_path.write_text(json.dumps({field: value}))
+        rc = main(
+            ["run", "--config", str(cfg_path), "--cohort", str(one_case_cohort), "--out", str(work / "out"),
+             "--modes", "baseline,tta", "--n-samples", "2", "--workers", "1"]
+        )
+        err = capsys.readouterr().err
+        assert rc in (0, 2, 3, 4), err
+        assert "Traceback" not in err
+        if rc in (2, 4):
+            assert sum(line.startswith("error:") for line in err.splitlines()) == 1, err

@@ -6,6 +6,7 @@ import pytest
 from voxloc.heatmap import HeatmapSpec, TargetPoint, gaussian_heatmap
 from voxloc.phantom import PhantomSpec, generate_phantom
 from voxloc.pipeline import (
+    COARSE_DIMS,
     EmptyComponentError,
     PipelineConfig,
     PipelineFailureError,
@@ -259,12 +260,10 @@ class TestCoordinateMapping:
     def test_crop_center_matches_stage1_center(self, phantom_case):
         cfg = make_config(phantom_case)
         result = run_pipeline(cfg, phantom_case.image)
-        coarse = downsample_to(phantom_case.image, cfg.coarse_dims, interpolation="trilinear")
+        coarse = downsample_to(phantom_case.image, COARSE_DIMS, interpolation="trilinear")
         _, left_prob, right_prob = cfg.segmenter.predict(coarse)
         for side, prob in (("left", left_prob), ("right", right_prob)):
-            comp = largest_connected_component(
-                prob.with_data((prob.data >= 0.5).astype(float)), cfg.connectivity
-            )
+            comp = largest_connected_component(prob.with_data((prob.data >= 0.5).astype(float)), 26)
             full = downsample_to(comp, phantom_case.image.dims, interpolation="nearest")
             assert result.sides[side].box.center == bounding_box_center(full)
 
@@ -298,13 +297,33 @@ class TestPipelineResult:
         assert result.targets["left"].side == "left"
 
 
-class TestPipelineConfig:
-    def test_validation(self, phantom_case):
-        seg = TruthMaskSegmenter(phantom_case.left_mask, phantom_case.right_mask)
-        loc = MarkerLocalizer(OracleLocalizerConfig())
-        with pytest.raises(ValueError):
-            PipelineConfig(segmenter=seg, localizer=loc, connectivity=18)
-        with pytest.raises(ValueError):
-            PipelineConfig(segmenter=seg, localizer=loc, crop_extent=(0, 64, 64))
-        with pytest.raises(ValueError):
-            PipelineConfig(segmenter=seg, localizer=loc, coarse_dims=(80, 80))
+class TestPlacement:
+    """SideResult.place: localizer-frame heatmap -> whole-volume target."""
+
+    @staticmethod
+    def two_peaks(res, xs, y=20, z=30):
+        data = np.zeros(res.local_crop.dims)
+        for x in xs:
+            data[x, y, z] = 1.0
+        return res.local_crop.with_data(data)
+
+    def test_left_tie_places_at_smaller_native_x(self, phantom_case):
+        res = run_pipeline(make_config(phantom_case), phantom_case.image).sides["left"]
+        # local x 10 and 20 mirror to native x 53 and 43; the native argmax keeps 43
+        target = res.place(self.two_peaks(res, (10, 20)))
+        assert target.position == (res.box.low[0] + 43, res.box.low[1] + 20, res.box.low[2] + 30)
+        assert target.side == "left"
+
+    def test_right_adds_box_low_only(self, phantom_case):
+        res = run_pipeline(make_config(phantom_case), phantom_case.image).sides["right"]
+        target = res.place(self.two_peaks(res, (20, 10)))
+        assert target.position == (res.box.low[0] + 10, res.box.low[1] + 20, res.box.low[2] + 30)
+
+    def test_pipeline_target_is_placed_localizer_heatmap(self, phantom_case):
+        cfg = make_config(phantom_case)
+        result = run_pipeline(cfg, phantom_case.image)
+        for side in SIDES:
+            res = result.sides[side]
+            assert res.place(cfg.localizer.predict(res.local_crop)) == res.target
+        np.testing.assert_array_equal(result.sides["left"].local_crop.data, flip_lr(result.sides["left"].crop).data)
+        assert result.sides["right"].local_crop is result.sides["right"].crop
