@@ -17,11 +17,13 @@ results.csv column order (the stability contract):
 from __future__ import annotations
 
 import concurrent.futures
+import contextlib
 import csv
 import hashlib
 import io
 import json
 import logging
+import math
 import time
 from dataclasses import asdict, dataclass, replace
 from pathlib import Path
@@ -89,13 +91,31 @@ class SchemaError(Exception):
     """An input file does not have the expected structure."""
 
 
+# config field -> the TransformPriors range it sets
+_PRIOR_FIELDS = {
+    "shift_range_mm": "s_range",
+    "rotate_range_deg": "r_range",
+    "curve_range": "curve_control_range",
+}
+
+
+@contextlib.contextmanager
+def _config_field(name: str):
+    """Turn a TypeError/ValueError raised while checking a config field into a usage error naming it."""
+    try:
+        yield
+    except (TypeError, ValueError) as exc:
+        raise UsageError(f"bad config value for {name}: {exc}") from exc
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a generate/run/analyze round needs, JSON-serializable.
 
     Validation builds the augmentation priors (``priors``) and the
     marker localizer's error model (``oracle``) once; each of those
-    classes checks its own fields, and their errors become usage errors.
+    classes checks its own fields, and their errors become usage errors
+    that name the config field.
     """
 
     cohort_dir: str = "cohort"
@@ -128,20 +148,25 @@ class ExperimentConfig:
                 raise UsageError(f"{name} must be an integer, got {value!r}")
         if self.seed < 0:
             raise UsageError(f"seed must be >= 0, got {self.seed}")
-        try:
-            object.__setattr__(self, "dims", tuple(self.dims))
+        object.__setattr__(self, "dims", tuple(self.dims))
+        with _config_field("modes"):
             object.__setattr__(self, "modes", tuple(self.modes))
-            for name in ("shift_range_mm", "rotate_range_deg", "curve_range"):
-                object.__setattr__(self, name, tuple(float(x) for x in getattr(self, name)))
-            priors = TransformPriors(self.shift_range_mm, self.rotate_range_deg, self.curve_range)
+        for name, prior in _PRIOR_FIELDS.items():
+            with _config_field(name):
+                value = tuple(float(x) for x in getattr(self, name))
+                TransformPriors(**{prior: value})  # checks this range alone
+            object.__setattr__(self, name, value)
+        with _config_field("heatmap_sigma_mm"):
+            heatmap = HeatmapSpec(sigma_mm=self.heatmap_sigma_mm)
+        with _config_field("jitter_std"):
+            OracleLocalizerConfig(jitter_std=self.jitter_std)
+        with _config_field("hard_failure_rate"):
             oracle = OracleLocalizerConfig(
-                jitter_std=self.jitter_std,
-                failure_rate=self.hard_failure_rate,
-                heatmap=HeatmapSpec(sigma_mm=self.heatmap_sigma_mm),
+                jitter_std=self.jitter_std, failure_rate=self.hard_failure_rate, heatmap=heatmap
             )
+        with _config_field("weight_file"):
             weights_missing = self.weight_file is not None and not Path(self.weight_file).exists()
-        except (TypeError, ValueError) as exc:
-            raise UsageError(f"bad config value: {exc}") from exc
+        priors = TransformPriors(**{prior: getattr(self, name) for name, prior in _PRIOR_FIELDS.items()})
         # plain attributes, not fields: asdict() and the config hash skip them
         object.__setattr__(self, "priors", priors)
         object.__setattr__(self, "oracle", oracle)
@@ -253,13 +278,38 @@ def _row(case_id: int, side: str, mode: str, truth: list, pred=None, error_mm=No
     }
 
 
+def _is_point(value) -> bool:
+    return (
+        isinstance(value, list)
+        and len(value) == 3
+        and all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in value)
+    )
+
+
+def _check_entry(manifest_path: Path, entry) -> None:
+    """Check the fields of a manifest entry that run reads outside the per-case failure handling."""
+    if not isinstance(entry, dict):
+        raise SchemaError(f"manifest {manifest_path} has a case entry that is not an object: {entry!r}")
+    case_id = entry.get("id")
+    if not isinstance(case_id, int) or isinstance(case_id, bool):
+        raise SchemaError(f"manifest {manifest_path} has a case entry without an integer 'id'")
+    if not isinstance(entry.get("hard"), bool):
+        raise SchemaError(f"manifest {manifest_path} case {case_id} has no boolean 'hard'")
+    truths = entry.get("truth_targets")
+    if not isinstance(truths, dict) or not all(_is_point(truths.get(side)) for side in SIDES):
+        raise SchemaError(
+            f"manifest {manifest_path} case {case_id} needs 'truth_targets' with three finite numbers "
+            f"for each of {SIDES}"
+        )
+
+
 def _case_task(args: tuple[ExperimentConfig, str, dict, Localizer]) -> tuple[list[dict], dict]:
     cfg, manifest_path, entry, localizer = args
-    case_id = int(entry["id"])
+    case_id = entry["id"]
     truths = {s: list(map(float, entry["truth_targets"][s])) for s in SIDES}
     case_json: dict = {
         "case_id": case_id,
-        "hard": bool(entry["hard"]),
+        "hard": entry["hard"],
         "modes": {},
     }
 
@@ -374,12 +424,14 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     if not manifest_path.exists():
         raise SchemaError(f"no cohort manifest at {manifest_path}; run generate first")
     manifest = read_manifest(manifest_path)
-    entries = manifest.get("cases")
-    if not entries:
+    entries = manifest.get("cases") if isinstance(manifest, dict) else None
+    if not entries or not isinstance(entries, list):
         raise SchemaError(f"manifest {manifest_path} lists no cases")
+    for entry in entries:
+        _check_entry(manifest_path, entry)
 
     localizers = _build_localizers(cfg)
-    tasks = [(cfg, str(manifest_path), entry, localizers[bool(entry["hard"])]) for entry in entries]
+    tasks = [(cfg, str(manifest_path), entry, localizers[entry["hard"]]) for entry in entries]
     if cfg.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
             outcomes = list(pool.map(_case_task, tasks))

@@ -36,6 +36,9 @@ class HeatmapSpec:
     def __post_init__(self):
         if self.sigma_mm <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma_mm}")
+        two_var = 2.0 * self.sigma_mm * self.sigma_mm  # the heatmap's denominator; ** would raise on overflow
+        if two_var == 0.0 or not math.isfinite(two_var):
+            raise ValueError(f"sigma {self.sigma_mm} mm is too small or too large: 2*sigma^2 is {two_var}")
         if not 0.0 <= self.cutoff < self.peak:
             raise ValueError(f"cutoff must lie in [0, peak), got {self.cutoff}")
 
@@ -109,9 +112,11 @@ def argmax_position(h: Volume3) -> TargetPoint:
     voxels are ignored; an all-NaN volume is invalid data.
     """
     flat = h.ravel_linear()
-    if np.all(np.isnan(flat)):
-        raise ValueError("argmax of an all-NaN volume")
-    idx = int(np.nanargmax(flat))
+    idx = int(np.argmax(flat))
+    if np.isnan(flat[idx]):  # argmax stops at the first NaN; only then skip NaNs
+        if np.all(np.isnan(flat)):
+            raise ValueError("argmax of an all-NaN volume")
+        idx = int(np.nanargmax(flat))
     pos = np.unravel_index(idx, h.dims, order="F")
     return TargetPoint(tuple(float(p) for p in pos))
 

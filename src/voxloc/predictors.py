@@ -1,7 +1,9 @@
 """Pluggable predictors: segmenters and localizers for the pipeline.
 
 Three localizer families cover the testing needs of the uncertainty
-machinery:
+machinery. Each splits a prediction into ``prepare`` (the deterministic
+work on one input) and ``sample`` (the seeded rest), and ``predict`` is
+their composition:
 
 * ``ConvNetLocalizer``: a miniature forward-only 3-D conv stack with
   inference-time inverted dropout, exercising real Monte Carlo dropout
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Protocol, runtime_checkable
+from typing import Any, Protocol, runtime_checkable
 
 import numpy as np
 from scipy import ndimage, special
@@ -55,12 +57,24 @@ class InvalidModelError(Exception):
 class Localizer(Protocol):
     """Heatmap predictor: single channel, same dims as the input.
 
+    A prediction runs in two halves. ``prepare`` does the deterministic
+    work that depends only on the input and returns an opaque state;
+    ``sample`` does the seeded rest. ``predict`` is
+    ``sample(prepare(v), stochastic, seed)``, so a sampler that draws
+    many passes over one input prepares it once.
+
     Contracts every implementation must honor:
     * ``stochastic=False``: identical output for identical input,
       bit-reproducible regardless of seed.
     * ``stochastic=True``: output is a deterministic function of
       (input, seed).
+    * ``sample`` never writes into the state: one state serves any
+      number of samples.
     """
+
+    def prepare(self, v: Volume3) -> Any: ...
+
+    def sample(self, state: Any, stochastic: bool = False, seed: int = 0) -> Volume3: ...
 
     def predict(self, v: Volume3, stochastic: bool = False, seed: int = 0) -> Volume3: ...
 
@@ -70,6 +84,13 @@ class Segmenter(Protocol):
     """Probability maps for (background, left structure, right structure)."""
 
     def predict(self, v: Volume3) -> tuple[Volume3, Volume3, Volume3]: ...
+
+
+class _TwoStageLocalizer:
+    """``predict`` as ``sample(prepare(v))``; subclasses define the halves."""
+
+    def predict(self, v: Volume3, stochastic: bool = False, seed: int = 0) -> Volume3:
+        return self.sample(self.prepare(v), stochastic, seed)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +162,15 @@ def _conv3d_same(x: np.ndarray, weight: np.ndarray, bias: np.ndarray) -> np.ndar
     return out
 
 
-class ConvNetLocalizer:
-    """Forward-only conv stack with seeded or file-backed weights."""
+class ConvNetLocalizer(_TwoStageLocalizer):
+    """Forward-only conv stack with seeded or file-backed weights.
+
+    ``prepare`` runs conv+ReLU up to and including the first dropout
+    layer (every hidden layer when there is none); its activations are
+    read-only. ``sample`` applies that layer's dropout when stochastic
+    and runs the rest of the stack, drawing the masks layer by layer
+    from ``default_rng(seed)``.
+    """
 
     def __init__(self, spec: ConvNetSpec, weights: list[tuple[np.ndarray, np.ndarray]]):
         expected = spec.layer_shapes
@@ -158,6 +186,9 @@ class ConvNetLocalizer:
                 )
         self.spec = spec
         self.weights = [(w.astype(np.float64), b.astype(np.float64)) for w, b in weights]
+        # prepare runs layers [0, _split): through the first dropout layer, else every hidden one
+        layers = spec.dropout_layers
+        self._split = min(layers) + 1 if layers else len(weights) - 1
 
     @classmethod
     def from_seed(cls, spec: ConvNetSpec, seed: int = 0) -> "ConvNetLocalizer":
@@ -175,11 +206,25 @@ class ConvNetLocalizer:
     def from_file(cls, spec: ConvNetSpec, manifest_path: str | Path) -> "ConvNetLocalizer":
         return cls(spec, load_weights(manifest_path))
 
-    def predict(self, v: Volume3, stochastic: bool = False, seed: int = 0) -> Volume3:
-        rng = np.random.default_rng(seed) if stochastic else None
+    def prepare(self, v: Volume3) -> tuple[np.ndarray, tuple[float, float, float]]:
         x = v.data.astype(np.float64, copy=False)[None]
+        for w, b in self.weights[: self._split]:
+            x = _conv3d_same(x, w, b)
+            np.maximum(x, 0.0, out=x)
+        x.setflags(write=False)
+        return x, v.spacing
+
+    def sample(
+        self, state: tuple[np.ndarray, tuple[float, float, float]], stochastic: bool = False, seed: int = 0
+    ) -> Volume3:
+        x, spacing = state
+        rng = np.random.default_rng(seed) if stochastic else None
+        split = self._split
+        if stochastic and split - 1 in self.spec.dropout_layers:
+            x = apply_inverted_dropout(x, self.spec.dropout_rate, rng)
         last = len(self.weights) - 1
-        for i, (w, b) in enumerate(self.weights):
+        for i in range(split, last + 1):
+            w, b = self.weights[i]
             x = _conv3d_same(x, w, b)
             if i == last:
                 x = special.expit(x)
@@ -187,7 +232,7 @@ class ConvNetLocalizer:
                 np.maximum(x, 0.0, out=x)
                 if stochastic and i in self.spec.dropout_layers:
                     x = apply_inverted_dropout(x, self.spec.dropout_rate, rng)
-        return Volume3(x[0], v.spacing)
+        return Volume3(x[0], spacing)
 
 
 def save_weights(net: ConvNetLocalizer, manifest_path: str | Path) -> None:
@@ -306,15 +351,18 @@ def oracle_localize(
     return gaussian_heatmap(cfg.heatmap, TargetPoint(tuple(center)), v.dims, v.spacing)
 
 
-class OracleLocalizer:
+class OracleLocalizer(_TwoStageLocalizer):
     """Localizer bound to a fixed known target position."""
 
     def __init__(self, cfg: OracleLocalizerConfig, truth: TargetPoint):
         self.cfg = cfg
         self.truth = truth
 
-    def predict(self, v: Volume3, stochastic: bool = False, seed: int = 0) -> Volume3:
-        return oracle_localize(self.cfg, self.truth, v, stochastic=stochastic, seed=seed)
+    def prepare(self, v: Volume3) -> Volume3:
+        return v
+
+    def sample(self, state: Volume3, stochastic: bool = False, seed: int = 0) -> Volume3:
+        return oracle_localize(self.cfg, self.truth, state, stochastic=stochastic, seed=seed)
 
 
 # MarkerLocalizer's detection: smoothing width, and the half-width in voxels
@@ -323,7 +371,7 @@ _MARKER_SMOOTH_SIGMA_MM = 1.0
 _MARKER_REFINE_RADIUS = 2
 
 
-class MarkerLocalizer:
+class MarkerLocalizer(_TwoStageLocalizer):
     """Localizer that finds the brightest compact blob in the volume.
 
     Detection runs on a Gaussian-smoothed copy (argmax, then an
@@ -331,7 +379,8 @@ class MarkerLocalizer:
     precision). Because the target is read from the content, predictions
     move with the image under spatial transforms, so the oracle behaves
     equivariantly in augmentation chains. The configured error model is
-    applied on top of the detected position.
+    applied on top of the detected position: ``prepare`` detects once,
+    ``sample`` draws the error.
     """
 
     def __init__(self, cfg: OracleLocalizerConfig):
@@ -354,16 +403,22 @@ class MarkerLocalizer:
         centroid = tuple(float((g * weights).sum() / total) for g in grids)
         return TargetPoint(centroid)
 
-    def predict(self, v: Volume3, stochastic: bool = False, seed: int = 0) -> Volume3:
-        detected = self.detect(v)
+    def prepare(self, v: Volume3) -> tuple[TargetPoint, Volume3]:
+        return self.detect(v), v
+
+    def sample(self, state: tuple[TargetPoint, Volume3], stochastic: bool = False, seed: int = 0) -> Volume3:
+        detected, v = state
         return oracle_localize(self.cfg, detected, v, stochastic=stochastic, seed=seed)
 
 
-class EchoLocalizer:
+class EchoLocalizer(_TwoStageLocalizer):
     """Returns the input volume as its heatmap. For chain-reduction tests."""
 
-    def predict(self, v: Volume3, stochastic: bool = False, seed: int = 0) -> Volume3:
+    def prepare(self, v: Volume3) -> Volume3:
         return v
+
+    def sample(self, state: Volume3, stochastic: bool = False, seed: int = 0) -> Volume3:
+        return state
 
 
 # ---------------------------------------------------------------------------

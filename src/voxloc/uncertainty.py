@@ -2,13 +2,15 @@
 
 One sampler serves all three modes. Each mode fixes two switches: whether
 a sample is augmented and whether the predictor is stochastic. Sample
-``i`` is seeded with ``base_seed + i``:
+``i`` is seeded with ``base_seed + i``, and every sample is drawn with
+the localizer's ``sample`` from a ``prepare``d state:
 
-* mcdo: stochastic predictor on the untransformed input.
+* mcdo: stochastic predictor on the untransformed input, prepared once
+  for all N samples (a failed ``prepare`` is sample 0's failure).
 * tta: draw a rigid + intensity transform, undo it on the input (spatial
   inverse with trilinear resampling, then the intensity inverse),
-  predict deterministically, and map the heatmap back through the
-  forward spatial transform.
+  prepare that input and sample deterministically, and map the heatmap
+  back through the forward spatial transform.
 * hybrid: the augmentation chain with the stochastic predictor, so both
   randomness sources are active.
 
@@ -182,22 +184,28 @@ def _aggregate(cfg: McConfig, sample_fn: Callable[[int], Volume3]) -> Uncertaint
     )
 
 
-def _sample(
-    loc: Localizer, v: Volume3, seed: int, priors: TransformPriors, augment: bool, stochastic: bool
+def _augmented_sample(
+    loc: Localizer, v: Volume3, seed: int, priors: TransformPriors, stochastic: bool
 ) -> Volume3:
-    if not augment:
-        return loc.predict(v, stochastic=stochastic, seed=seed)
+    """One augmented sample: each transformed input is prepared on its own."""
     tf, curve = sample_transform(priors, seed)
     undone = rigid_apply(tf.invert(), v, interpolation="trilinear")
     latent = intensity_apply_inverse(curve, undone)
-    heat = loc.predict(latent, stochastic=stochastic, seed=seed)
+    heat = loc.sample(loc.prepare(latent), stochastic, seed)
     return rigid_apply(tf, heat, interpolation="trilinear")
 
 
 def run_mode(loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:
     """Sample and aggregate with the switches of cfg.mode."""
     augment, stochastic = _SWITCHES[cfg.mode]
-    return _aggregate(cfg, lambda i: _sample(loc, v, cfg.base_seed + i, cfg.priors, augment, stochastic))
+    if augment:
+        return _aggregate(cfg, lambda i: _augmented_sample(loc, v, cfg.base_seed + i, cfg.priors, stochastic))
+    # every sample sees the same input: prepare it once
+    try:
+        state = loc.prepare(v)
+    except Exception as exc:  # noqa: BLE001 - re-raised as the first sample's failure
+        raise SamplingError(0, str(exc)) from exc
+    return _aggregate(cfg, lambda i: loc.sample(state, stochastic, cfg.base_seed + i))
 
 
 def _run_expecting(mode: str, loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:

@@ -456,19 +456,20 @@ class TestCli:
         assert rc == 2
 
     @pytest.mark.parametrize(
-        "argv, config",
+        "argv, config, field",
         [
-            (["generate", "--n", "1", "--dims", "32,32,32"], {}),
-            (["run"], {"n_samples": 2.5}),
-            (["run"], {"workers": True}),
-            (["run"], {"jitter_std": -1}),
-            (["run"], {"heatmap_sigma_mm": 0}),
-            (["run"], {"jitter_std": "abc"}),
-            (["generate", "--n", "1", "--dims", "64,64,64", "--seed", "-1"], {}),
-            (["run"], {"shift_range_mm": [5, -5]}),
-            (["run"], {"curve_range": [0, 2]}),
-            (["run"], {"rotate_range_deg": [1]}),
-            (["run", "--seed", "-1"], {}),
+            (["generate", "--n", "1", "--dims", "32,32,32"], {}, "dims"),
+            (["run"], {"n_samples": 2.5}, "n_samples"),
+            (["run"], {"workers": True}, "workers"),
+            (["run"], {"jitter_std": -1}, "jitter_std"),
+            (["run"], {"heatmap_sigma_mm": 0}, "heatmap_sigma_mm"),
+            (["run"], {"jitter_std": "abc"}, "jitter_std"),
+            (["generate", "--n", "1", "--dims", "64,64,64", "--seed", "-1"], {}, "seed"),
+            (["run"], {"shift_range_mm": [5, -5]}, "shift_range_mm"),
+            (["run"], {"curve_range": [0, 2]}, "curve_range"),
+            (["run"], {"rotate_range_deg": [1]}, "rotate_range_deg"),
+            (["run", "--seed", "-1"], {}, "seed"),
+            (["run"], {"heatmap_sigma_mm": 5e-324}, "heatmap_sigma_mm"),
         ],
         ids=[
             "dims-below-64",
@@ -482,9 +483,10 @@ class TestCli:
             "curve-range-past-1",
             "one-value-rotate-range",
             "run-negative-seed",
+            "underflowing-heatmap-sigma",
         ],
     )
-    def test_invalid_request_is_one_line_usage_error(self, tmp_path, capsys, argv, config):
+    def test_invalid_request_is_one_line_usage_error(self, tmp_path, capsys, argv, config, field):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"cohort_dir": str(tmp_path / "c"), "out_dir": str(tmp_path / "r"), **config}))
         assert main([*argv, "--config", str(cfg_path)]) == 2
@@ -492,10 +494,35 @@ class TestCli:
         assert "Traceback" not in err
         lines = err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert field in lines[0]
 
     def test_run_without_cohort_is_io_error(self, tmp_path):
         rc = main(["run", "--cohort", str(tmp_path / "missing"), "--out", str(tmp_path / "r")])
         assert rc == 4
+
+    @pytest.mark.parametrize(
+        "entry, field",
+        [
+            ({"id": 0, "files": {}}, "hard"),
+            ({"id": 0, "files": {}, "hard": False}, "truth_targets"),
+            ({"id": 0, "files": {}, "hard": False, "truth_targets": {"left": [1, 2, 3]}}, "truth_targets"),
+            ({"files": {}, "hard": False}, "id"),
+            ("case_000", "object"),
+        ],
+        ids=["no-hard", "no-truth-targets", "one-side-truth", "no-id", "not-an-object"],
+    )
+    def test_malformed_manifest_entry_is_one_line_io_error(self, tmp_path, capsys, entry, field):
+        cohort = tmp_path / "badman"
+        cohort.mkdir()
+        (cohort / "manifest.json").write_text(json.dumps({"cases": [entry]}))
+        out = tmp_path / "r"
+        assert main(["run", "--cohort", str(cohort), "--modes", "baseline", "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert field in lines[0]
+        assert not out.exists()  # stopped before any case ran
 
     @pytest.mark.parametrize("defect", ["f16-dtype", "layout-mismatch"])
     def test_malformed_weight_file_is_one_line_io_error(self, cohort_dir, tmp_path, capsys, defect):

@@ -41,6 +41,17 @@ class TestHeatmapSpec:
         with pytest.raises(ValueError):
             HeatmapSpec(cutoff=1.0)
 
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-170, 1.34e154, 1e200, math.inf])
+    def test_rejects_sigma_whose_variance_underflows_or_overflows(self, sigma):
+        # 2*sigma^2 is the heatmap's denominator: 0 would put a NaN at the center voxel
+        with pytest.raises(ValueError, match="sigma"):
+            HeatmapSpec(sigma_mm=sigma)
+
+    def test_smallest_accepted_sigma_gives_finite_map(self):
+        h = gaussian_heatmap(HeatmapSpec(sigma_mm=1e-150), TargetPoint((5, 5, 5)), (10, 10, 10), (1, 1, 1))
+        assert np.isfinite(h.data).all()
+        assert argmax_position(h).position == (5.0, 5.0, 5.0)
+
 
 class TestGaussianHeatmap:
     def test_center_value_is_one(self):
@@ -125,6 +136,22 @@ class TestArgmaxPosition:
         v = Volume3(np.full((3, 3, 3), np.nan), (1, 1, 1))
         with pytest.raises(ValueError):
             argmax_position(v)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+        st.sampled_from([np.float32, np.float64]),
+        st.data(),
+    )
+    def test_equals_nanargmax_over_linear_order(self, dims, dtype, data):
+        # few distinct values make ties likely; NaN is one of them
+        values = st.sampled_from([np.nan, -np.inf, -1.0, 0.0, 0.5, 1.0, np.inf])
+        flat = np.array(data.draw(st.lists(values, min_size=math.prod(dims), max_size=math.prod(dims))), dtype=dtype)
+        if np.isnan(flat).all():
+            flat[data.draw(st.integers(0, flat.size - 1))] = 0.0
+        v = Volume3(flat.reshape(dims, order="F"), (1, 1, 1))
+        expected = np.unravel_index(int(np.nanargmax(v.ravel_linear())), dims, order="F")
+        assert argmax_position(v).position == tuple(float(i) for i in expected)
 
     def test_flip_reflects_argmax(self):
         rng = np.random.default_rng(2)

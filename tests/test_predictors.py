@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 from voxloc.heatmap import HeatmapSpec, TargetPoint, argmax_position, dice_score
 from voxloc.predictors import (
@@ -15,6 +16,7 @@ from voxloc.predictors import (
     OracleLocalizerConfig,
     Segmenter,
     TruthMaskSegmenter,
+    _conv3d_same,
     apply_inverted_dropout,
     load_weights,
     oracle_localize,
@@ -159,6 +161,33 @@ class TestConvNetForward:
         net = ConvNetLocalizer.from_seed(ConvNetSpec(channels=(2, 1)), seed=0)
         assert isinstance(net, Localizer)
         assert isinstance(EchoLocalizer(), Localizer)
+
+
+def reference_forward(net, v, stochastic=False, seed=0):
+    """The conv stack as one pass over every layer, as before the prepare/sample split."""
+    rng = np.random.default_rng(seed) if stochastic else None
+    x = v.data.astype(np.float64, copy=False)[None]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(net.weights):
+        x = _conv3d_same(x, w, b)
+        if i == last:
+            x = special.expit(x)
+        else:
+            np.maximum(x, 0.0, out=x)
+            if stochastic and i in net.spec.dropout_layers:
+                x = apply_inverted_dropout(x, net.spec.dropout_rate, rng)
+    return x[0]
+
+
+def state_arrays(state):
+    """Copies of every array a prepared state holds, to check that sampling leaves it alone."""
+    if isinstance(state, np.ndarray):
+        return [state.copy()]
+    if isinstance(state, Volume3):
+        return [state.data.copy()]
+    if isinstance(state, tuple):
+        return [a for part in state for a in state_arrays(part)]
+    return []
 
 
 class TestWeightFiles:
@@ -336,6 +365,75 @@ class TestEchoLocalizer:
         v = Volume3(rng.random((6, 6, 6)), (1.0, 1.0, 1.0))
         out = EchoLocalizer().predict(v, stochastic=True, seed=123)
         np.testing.assert_array_equal(out.data, v.data)
+
+
+def split_cases():
+    rng = np.random.default_rng(21)
+    v12 = Volume3(rng.random((12, 12, 12)), (1.0, 1.0, 1.0))
+    cases = [
+        pytest.param(ConvNetLocalizer.from_seed(ConvNetSpec(dropout_layers=layers), seed=4), v12, id=f"convnet-{name}")
+        for name, layers in (("default", None), ("first", (0,)), ("none", ()))
+    ]
+    cfg = OracleLocalizerConfig(jitter_std=1.0, failure_rate=0.2)
+    cases += [
+        pytest.param(MarkerLocalizer(cfg), bump_volume((17.4, 20.0, 11.6)), id="marker"),
+        pytest.param(OracleLocalizer(cfg, TargetPoint((5.0, 6.0, 7.0))), blank((16, 16, 16)), id="oracle"),
+        pytest.param(EchoLocalizer(), v12, id="echo"),
+    ]
+    return cases
+
+
+class TestPrepareSample:
+    @pytest.mark.parametrize("loc, v", split_cases())
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_sample_of_prepare_is_predict(self, loc, v, stochastic):
+        for seed in (0, 1, 7):
+            a = loc.sample(loc.prepare(v), stochastic, seed)
+            b = loc.predict(v, stochastic=stochastic, seed=seed)
+            np.testing.assert_array_equal(a.data, b.data)
+            assert a.spacing == b.spacing
+
+    @pytest.mark.parametrize("loc, v", split_cases())
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_one_state_serves_repeated_samples(self, loc, v, stochastic):
+        state = loc.prepare(v)
+        before = state_arrays(state)
+        first = loc.sample(state, stochastic, 3)
+        second = loc.sample(state, stochastic, 3)
+        other = loc.sample(state, stochastic, 4)
+        np.testing.assert_array_equal(first.data, second.data)
+        after = state_arrays(state)
+        assert len(after) == len(before)
+        for x, y in zip(before, after):
+            np.testing.assert_array_equal(x, y)
+        if not stochastic:
+            np.testing.assert_array_equal(first.data, other.data)
+
+    @pytest.mark.parametrize("layers", [None, (0,), (), (1, 3)], ids=["default", "first", "none", "split"])
+    @pytest.mark.parametrize("stochastic", [False, True])
+    def test_convnet_split_matches_one_pass_forward(self, layers, stochastic):
+        net = ConvNetLocalizer.from_seed(ConvNetSpec(dropout_layers=layers), seed=4)
+        v = Volume3(np.random.default_rng(22).random((12, 12, 12)), (1.0, 1.0, 1.0))
+        state = net.prepare(v)
+        for seed in (0, 5, 9):
+            expected = reference_forward(net, v, stochastic, seed)
+            np.testing.assert_array_equal(net.sample(state, stochastic, seed).data, expected)
+
+    def test_convnet_prefix_stops_at_first_dropout_layer(self):
+        spec = ConvNetSpec()  # dropout on hidden layers 2 and 3
+        net = ConvNetLocalizer.from_seed(spec, seed=4)
+        activations, spacing = net.prepare(Volume3(np.random.default_rng(3).random((8, 8, 8)), (1.0, 2.0, 1.0)))
+        assert activations.shape == (spec.channels[2], 8, 8, 8)
+        assert spacing == (1.0, 2.0, 1.0)
+        assert not activations.flags.writeable
+
+    def test_marker_state_is_the_detected_target(self):
+        v = bump_volume((17.4, 20.0, 11.6))
+        loc = MarkerLocalizer(OracleLocalizerConfig(jitter_std=1.0))
+        detected, prepared = loc.prepare(v)
+        assert detected == loc.detect(v)
+        expected = oracle_localize(loc.cfg, detected, v, stochastic=True, seed=2)
+        np.testing.assert_array_equal(loc.sample((detected, prepared), True, 2).data, expected.data)
 
 
 class TestTruthMaskSegmenter:

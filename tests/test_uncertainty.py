@@ -5,6 +5,8 @@ import pytest
 
 from voxloc.heatmap import HeatmapSpec, TargetPoint, argmax_position, gaussian_heatmap
 from voxloc.predictors import (
+    ConvNetLocalizer,
+    ConvNetSpec,
     EchoLocalizer,
     MarkerLocalizer,
     OracleLocalizer,
@@ -183,7 +185,10 @@ class TestRunMcdo:
 
     def test_sampling_error_carries_index(self):
         class Flaky:
-            def predict(self, v, stochastic=False, seed=0):
+            def prepare(self, v):
+                return v
+
+            def sample(self, state, stochastic=False, seed=0):
                 if seed == 13:
                     raise RuntimeError("boom")
                 return blank((8, 8, 8))
@@ -271,11 +276,70 @@ class TestRunHybrid:
         assert s.mad <= 0.75
 
 
+class CountingLocalizer:
+    """Wraps a localizer and counts its prepare and sample calls."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.prepared = 0
+        self.sampled = 0
+
+    def prepare(self, v):
+        self.prepared += 1
+        return self.inner.prepare(v)
+
+    def sample(self, state, stochastic=False, seed=0):
+        self.sampled += 1
+        return self.inner.sample(state, stochastic, seed)
+
+
 class TestRunMode:
     def test_dispatch(self):
         loc = OracleLocalizer(OracleLocalizerConfig(), TRUTH)
         s = run_mode(loc, blank(), McConfig(mode="mcdo", n_samples=4))
         assert s.mode == "mcdo"
+
+    @pytest.mark.parametrize(
+        "loc, v",
+        [
+            (MarkerLocalizer(OracleLocalizerConfig(jitter_std=1.0, failure_rate=0.2)), bump((22.0, 25.0, 24.0))),
+            (ConvNetLocalizer.from_seed(ConvNetSpec(), seed=1), smooth_unit((12, 12, 12), radius=5.0)),
+        ],
+        ids=["marker", "convnet"],
+    )
+    def test_mcdo_matches_predict_per_sample(self, loc, v):
+        cfg = McConfig(mode="mcdo", n_samples=5, base_seed=40)
+        s = run_mode(loc, v, cfg)
+        reference = [loc.predict(v, stochastic=True, seed=cfg.base_seed + i) for i in range(cfg.n_samples)]
+        positions = np.array([argmax_position(h).as_array for h in reference])
+        mean, var = mean_variance(reference)
+        for got, want in zip(s.sample_heatmaps, reference):
+            np.testing.assert_array_equal(got.data, want.data)
+        np.testing.assert_array_equal(s.argmax_positions, positions)
+        np.testing.assert_array_equal(s.mean_map.data, mean.data)
+        np.testing.assert_array_equal(s.variance_map.data, var.data)
+        assert s.mad == mad(positions)
+        assert s.final_target == argmax_position(mean)
+
+    @pytest.mark.parametrize("mode, prepares", [("mcdo", 1), ("tta", 6), ("hybrid", 6)])
+    def test_prepare_once_per_distinct_input(self, mode, prepares):
+        loc = CountingLocalizer(MarkerLocalizer(OracleLocalizerConfig(jitter_std=0.5)))
+        priors = TransformPriors(s_range=(-2, 2), r_range=(-4, 4), curve_control_range=(0.4, 0.6))
+        run_mode(loc, bump((22.0, 25.0, 24.0)), McConfig(mode=mode, n_samples=6, priors=priors, keep_samples=False))
+        assert (loc.prepared, loc.sampled) == (prepares, 6)
+
+    def test_prepare_failure_is_sample_zero(self):
+        class Unpreparable:
+            def prepare(self, v):
+                raise RuntimeError("cannot read input")
+
+            def sample(self, state, stochastic=False, seed=0):  # pragma: no cover - never reached
+                return blank((8, 8, 8))
+
+        with pytest.raises(SamplingError, match="sample 0: cannot read input") as info:
+            run_mode(Unpreparable(), blank((8, 8, 8)), McConfig(mode="mcdo", n_samples=3))
+        assert info.value.index == 0
+        assert isinstance(info.value.__cause__, RuntimeError)
 
 
 class TestSummary:
