@@ -7,7 +7,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from voxloc.volume import Volume3
+from voxloc.volume import Volume3, support_box
 
 __all__ = [
     "HeatmapSpec",
@@ -109,8 +109,26 @@ def argmax_position(h: Volume3) -> TargetPoint:
     """Integer voxel index of the maximum value.
 
     Ties break to the smallest linear index in x-fastest order. NaN
-    voxels are ignored; an all-NaN volume is invalid data.
+    voxels are ignored; an all-NaN volume is invalid data. The scan
+    covers only the heatmap's ``support_box`` when that box holds a value
+    above 0.
     """
+    return _argmax_in_box(h, support_box(h.data))
+
+
+def _argmax_in_box(h: Volume3, box) -> TargetPoint:
+    # argmax_position of h, given box = support_box(h.data). A positive
+    # maximum of the box is the volume's maximum, since every voxel outside
+    # is 0, and the box's own x-fastest scan visits its voxels in the grid's
+    # linear order, so the tie-break holds. A NaN in the box (argmax stops
+    # there), a box of values <= 0 and an all-zero volume scan the grid.
+    if box is not None:
+        block = h.data[box]
+        flat = block.ravel(order="F")
+        idx = int(np.argmax(flat))
+        if flat[idx] > 0:
+            pos = np.unravel_index(idx, block.shape, order="F")
+            return TargetPoint(tuple(float(s.start + p) for s, p in zip(box, pos)))
     flat = h.ravel_linear()
     idx = int(np.argmax(flat))
     if np.isnan(flat[idx]):  # argmax stops at the first NaN; only then skip NaNs

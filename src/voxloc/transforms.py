@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from voxloc.volume import Volume3
+from voxloc.volume import Volume3, support_box
 
 __all__ = [
     "RigidTransform",
@@ -100,6 +100,13 @@ def rigid_apply(tf: RigidTransform, v: Volume3, interpolation: str = "trilinear"
     ``R^-1 (q - pivot - translation) + pivot``; out-of-bounds reads clamp
     to the nearest edge voxel. Images and heatmaps use trilinear
     interpolation, masks should use nearest.
+
+    The cost follows the input's support: when its nonzero ``support_box``
+    touches no face of the grid, only the output block that box can reach
+    is resampled and every other output voxel is exactly 0. An input whose
+    support touches a face (any dense image) or that is all zero takes the
+    full-grid warp, because clamped edge reads can then carry nonzero
+    values anywhere. Both paths give the same bits.
     """
     if interpolation not in ("trilinear", "nearest"):
         raise ValueError(f"unknown interpolation {interpolation!r}")
@@ -107,10 +114,38 @@ def rigid_apply(tf: RigidTransform, v: Volume3, interpolation: str = "trilinear"
     rot_inv = rotation_matrix(tf.axis, -tf.angle_deg)
     offset = pivot - rot_inv @ (pivot + np.asarray(tf.translation))
     order = 1 if interpolation == "trilinear" else 0
-    out = ndimage.affine_transform(
-        v.data.astype(np.float64, copy=False), rot_inv, offset=offset, order=order, mode="nearest"
-    )
+    data = v.data.astype(np.float64, copy=False)
+    block = _mapped_block(tf, v.dims, support_box(v.data))
+    if block is None:
+        out = ndimage.affine_transform(data, rot_inv, offset=offset, order=order, mode="nearest")
+    else:
+        # affine_transform's source coordinates, summed in its order (offset first), on the block only
+        q = np.mgrid[block].astype(np.float64)
+        coords = np.stack(
+            [offset[k] + rot_inv[k, 0] * q[0] + rot_inv[k, 1] * q[1] + rot_inv[k, 2] * q[2] for k in range(3)]
+        )
+        out = np.zeros(v.dims)
+        out[block] = ndimage.map_coordinates(data, coords, order=order, mode="nearest")
     return Volume3(out.astype(v.data.dtype, copy=False), v.spacing)
+
+
+def _mapped_block(tf: RigidTransform, dims, box) -> tuple[slice, slice, slice] | None:
+    """Output block that can read the input box under ``tf``, or None for the full grid.
+
+    An output voxel is nonzero only if its source point lies within 1 of
+    the box on every axis (the interpolation stencil), which puts it
+    within sqrt(3) < 2 of the box's forward image. The forward image of
+    the box's 8 corners, rounded outward and padded by 1 voxel, covers
+    that. None when the box is missing or touches a face.
+    """
+    if box is None or any(s.start == 0 or s.stop == n for s, n in zip(box, dims)):
+        return None
+    ends = np.array([[s.start, s.stop - 1] for s in box], dtype=np.float64)
+    corners = np.stack(np.meshgrid(*ends, indexing="ij"), axis=-1).reshape(-1, 3)
+    mapped = tf.map_points(corners, dims=dims)
+    low = np.clip(np.floor(mapped.min(axis=0)) - 1, 0, dims)
+    high = np.clip(np.ceil(mapped.max(axis=0)) + 2, 0, dims)
+    return tuple(slice(int(lo), int(hi)) for lo, hi in zip(low, high))
 
 
 # ---------------------------------------------------------------------------

@@ -19,19 +19,28 @@ mean and population variance, per-sample argmax positions, their
 centroid, and the mean distance of the positions from that centroid (the
 dispersion score used for rejection). The final target of a run is the
 argmax of the mean map.
+
+A sample costs its heatmap's support, not the crop: its ``support_box``
+is found once, and the argmax and the two running sums read only that
+box. In tta and hybrid the warp back also fills only the block the
+box can reach. A dense heatmap, or one whose support touches a face of
+the crop, gets the whole grid and runs the full passes; an all-zero one
+adds nothing and scans the grid for its argmax. The outputs are the
+same bits as the full passes give.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from voxloc.heatmap import TargetPoint, argmax_position
+from voxloc.heatmap import TargetPoint, _argmax_in_box, argmax_position
 from voxloc.predictors import Localizer
 from voxloc.transforms import TransformPriors, intensity_apply_inverse, rigid_apply, sample_transform
-from voxloc.volume import Volume3
+from voxloc.volume import Volume3, support_box
 
 __all__ = [
     "SamplingError",
@@ -73,8 +82,15 @@ class McConfig:
     def __post_init__(self):
         if self.mode not in MODES:
             raise ValueError(f"mode must be one of {MODES}, got {self.mode!r}")
-        if self.n_samples < 2:
-            raise ValueError(f"n_samples must be >= 2, got {self.n_samples}")
+        if isinstance(self.n_samples, bool):
+            raise ValueError(f"n_samples must be an integer, got {self.n_samples!r}")
+        try:
+            n_samples = operator.index(self.n_samples)
+        except TypeError:
+            raise ValueError(f"n_samples must be an integer, got {self.n_samples!r}") from None
+        if n_samples < 2:
+            raise ValueError(f"n_samples must be >= 2, got {n_samples}")
+        object.__setattr__(self, "n_samples", n_samples)
 
 
 @dataclass(frozen=True)
@@ -105,7 +121,13 @@ class UncertaintySummary:
 
 
 class _Accumulator:
-    """Streaming sum/sum-of-squares reduction over sample heatmaps."""
+    """Streaming sum/sum-of-squares reduction over sample heatmaps.
+
+    Both sums start as zeros and each sample adds only its support box,
+    given by the caller as ``support_box(v.data)``. Outside the box the
+    sample is 0, and 0.0 + x is x, so the sums equal the dense sums bit
+    for bit (a voxel that is 0 in every sample sums to +0.0).
+    """
 
     def __init__(self):
         self.n = 0
@@ -114,18 +136,18 @@ class _Accumulator:
         self.spacing = None
         self.dims = None
 
-    def add(self, v: Volume3) -> None:
-        data = v.data.astype(np.float64, copy=False)
+    def add(self, v: Volume3, box) -> None:
         if self.total is None:
-            self.total = data.copy()
-            self.total_sq = data * data
+            self.total = np.zeros(v.dims)
+            self.total_sq = np.zeros(v.dims)
             self.spacing = v.spacing
             self.dims = v.dims
-        else:
-            if v.dims != self.dims:
-                raise ValueError(f"sample dims {v.dims} do not match {self.dims}")
-            self.total += data
-            self.total_sq += data * data
+        elif v.dims != self.dims:
+            raise ValueError(f"sample dims {v.dims} do not match {self.dims}")
+        if box is not None:
+            block = v.data[box].astype(np.float64, copy=False)
+            self.total[box] += block
+            self.total_sq[box] += block * block
         self.n += 1
 
     def finalize(self) -> tuple[Volume3, Volume3]:
@@ -141,7 +163,7 @@ def mean_variance(samples: Sequence[Volume3]) -> tuple[Volume3, Volume3]:
         raise ValueError(f"need at least 2 samples, got {len(samples)}")
     acc = _Accumulator()
     for s in samples:
-        acc.add(s)
+        acc.add(s, support_box(s.data))
     return acc.finalize()
 
 
@@ -164,8 +186,9 @@ def _aggregate(cfg: McConfig, sample_fn: Callable[[int], Volume3]) -> Uncertaint
             sample = sample_fn(i)
         except Exception as exc:  # noqa: BLE001 - re-raised with the index
             raise SamplingError(i, str(exc)) from exc
-        acc.add(sample)
-        positions[i] = argmax_position(sample).as_array
+        box = support_box(sample.data)
+        acc.add(sample, box)
+        positions[i] = _argmax_in_box(sample, box).as_array
         if kept is not None:
             kept.append(sample)
     mean_map, variance_map = acc.finalize()

@@ -29,6 +29,7 @@ __all__ = [
     "downsample_to",
     "crop_box",
     "flip_lr",
+    "support_box",
     "write_volume",
     "read_volume",
 ]
@@ -213,6 +214,28 @@ def crop_box(v: Volume3, box: VoxelBox, pad_value: float = 0.0) -> Volume3:
 def flip_lr(v: Volume3) -> Volume3:
     """Mirror the volume along axis 0 (left-right). Involution, bitwise."""
     return Volume3(v.data[::-1, :, :].copy(), v.spacing)
+
+
+def support_box(data: np.ndarray) -> tuple[slice, slice, slice] | None:
+    """Slices of the smallest box holding every voxel that is not exactly 0.
+
+    NaN and +-inf count as nonzero. An all-zero array has no box and gives
+    None. An array with a nonzero voxel on each of its six faces gets the
+    whole grid without a full pass, so dense images and heatmaps cost six
+    face reads.
+    """
+    faces = ((slice(None),) * axis + (end,) for axis in range(3) for end in (0, -1))
+    if all(data[face].any() for face in faces):
+        return tuple(slice(0, n) for n in data.shape)
+    box = []
+    for axis in range(3):
+        others = tuple(a for a in range(3) if a != axis)
+        hit = np.flatnonzero((data != 0).any(axis=others))
+        if hit.size == 0:
+            return None
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1))
+        data = data[(slice(None),) * axis + (box[-1],)]  # later axes scan only the slab found so far
+    return tuple(box)
 
 
 # ---------------------------------------------------------------------------

@@ -153,6 +153,33 @@ class TestArgmaxPosition:
         expected = np.unravel_index(int(np.nanargmax(v.ravel_linear())), dims, order="F")
         assert argmax_position(v).position == tuple(float(i) for i in expected)
 
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.tuples(st.integers(1, 5), st.integers(1, 5), st.integers(1, 5)),
+        st.tuples(*(st.tuples(st.integers(1, 3), st.integers(1, 3)),) * 3),
+        st.sampled_from([np.float32, np.float64]),
+        st.sampled_from(
+            [
+                [np.nan, -np.inf, -1.0, 0.0, 0.5, 1.0, np.inf],
+                [np.nan, -np.inf, -1.0, 0.0],
+                [-1.0, -0.5, 0.0],
+                [0.0],
+            ]
+        ),
+        st.data(),
+    )
+    def test_embedded_block_equals_nanargmax_over_linear_order(self, block, margins, dtype, pool, data):
+        # the drawn block sits in a zero grid clear of every face, so the support box is inside it;
+        # the pools cover NaN in the box, boxes of values <= 0, +-inf and an all-zero volume
+        n = math.prod(block)
+        flat = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=dtype)
+        dims = tuple(lo + n + hi for n, (lo, hi) in zip(block, margins))
+        grid = np.zeros(dims, dtype=dtype)
+        grid[tuple(slice(lo, lo + n) for n, (lo, _) in zip(block, margins))] = flat.reshape(block, order="F")
+        v = Volume3(grid, (1, 1, 1))
+        expected = np.unravel_index(int(np.nanargmax(v.ravel_linear())), dims, order="F")
+        assert argmax_position(v).position == tuple(float(i) for i in expected)
+
     def test_flip_reflects_argmax(self):
         rng = np.random.default_rng(2)
         v = Volume3(rng.random((9, 5, 5)), (1, 1, 1))

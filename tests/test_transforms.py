@@ -13,6 +13,7 @@ from voxloc.transforms import (
     RigidTransform,
     TransformPriors,
     _bezier_points,
+    _mapped_block,
     intensity_apply,
     intensity_apply_inverse,
     rigid_apply,
@@ -20,7 +21,8 @@ from voxloc.transforms import (
     sample_axis,
     sample_transform,
 )
-from voxloc.volume import Volume3
+from voxloc.heatmap import HeatmapSpec, TargetPoint, gaussian_heatmap
+from voxloc.volume import Volume3, support_box
 
 
 def compact_smooth_volume(dims=(64, 64, 64)):
@@ -284,6 +286,113 @@ class TestRigidApplyReference:
             ref = rigid_apply_reference(tf, v, interpolation)
             worst = max(worst, float(np.max(np.abs(out.data.astype(np.float64) - ref))))
         assert worst <= tol
+
+
+def affine_reference(tf, v, interpolation):
+    """One full-grid ``affine_transform``: the warp before support bounding."""
+    pivot = tf.resolve_pivot(v.dims)
+    rot_inv = rotation_matrix(tf.axis, -tf.angle_deg)
+    offset = pivot - rot_inv @ (pivot + np.asarray(tf.translation))
+    order = 1 if interpolation == "trilinear" else 0
+    out = ndimage.affine_transform(v.data.astype(np.float64), rot_inv, offset=offset, order=order, mode="nearest")
+    return out.astype(v.data.dtype)
+
+
+class TestRigidApplySupportBounded:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        dims=st.tuples(*(st.integers(16, 40),) * 3),
+        seed=st.integers(0, 2**32 - 1),
+        where=st.tuples(*(st.floats(0.0, 1.0),) * 3),
+        sigma=st.sampled_from([0.5, 1.0, 1.5, 2.5, 4.0]),
+        interpolation=st.sampled_from(["trilinear", "nearest"]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_equals_full_warp_and_is_zero_outside_block(self, dims, seed, where, sigma, interpolation, dtype):
+        # targets anywhere on the grid, so some supports touch a face
+        center = TargetPoint(tuple(w * (d - 1) for w, d in zip(where, dims)))
+        h = gaussian_heatmap(HeatmapSpec(sigma_mm=sigma), center, dims, (1.0, 1.0, 1.0))
+        v = Volume3(h.data.astype(dtype), h.spacing)
+        tf, _ = sample_transform(TransformPriors(), seed)
+        out = rigid_apply(tf, v, interpolation)
+        ref = affine_reference(tf, v, interpolation)
+        assert out.data.dtype == dtype
+        np.testing.assert_array_equal(out.data, ref)
+        box = support_box(v.data)
+        block = _mapped_block(tf, dims, box)
+        touches = any(s.start == 0 or s.stop == n for s, n in zip(box, dims))
+        assert (block is None) == touches
+        if block is not None:
+            outside = ref.copy()
+            outside[block] = 0
+            assert not outside.any()
+
+    def test_point_support_under_large_rotation(self):
+        # one voxel, rotated 45 degrees about a body diagonal: the reach of the
+        # interpolation stencil after rotation is the widest the padding must cover
+        data = np.zeros((21, 21, 21))
+        data[7, 12, 9] = 1.0
+        v = Volume3(data, (1, 1, 1))
+        for angle in (30.0, 45.0, 60.0, 90.0, 135.0):
+            for axis in ((1, 1, 1), (1, -1, 0), (0, 0, 1)):
+                tf = RigidTransform(axis, angle, (0.3, -0.45, 0.5))
+                for interpolation in ("trilinear", "nearest"):
+                    out = rigid_apply(tf, v, interpolation)
+                    ref = affine_reference(tf, v, interpolation)
+                    np.testing.assert_array_equal(out.data, ref)
+                    outside = ref.copy()
+                    outside[_mapped_block(tf, v.dims, support_box(data))] = 0
+                    assert not outside.any()
+
+    def test_support_mapped_off_the_grid_gives_zeros(self):
+        data = np.zeros((21, 21, 21))
+        data[4:7, 10, 10] = 1.0
+        v = Volume3(data, (1, 1, 1))
+        tf = RigidTransform((0, 0, 1), 10.0, (-30.0, 0.0, 0.0))
+        assert _mapped_block(tf, v.dims, support_box(data))[0] == slice(0, 0)
+        out = rigid_apply(tf, v)
+        assert not out.data.any()
+        np.testing.assert_array_equal(out.data, affine_reference(tf, v, "trilinear"))
+
+    @pytest.mark.parametrize(
+        "center", [(0.0, 10.0, 10.0), (10.0, 20.0, 10.0), (10.0, 10.0, 0.4)], ids=["low-0", "high-1", "low-2"]
+    )
+    def test_support_on_a_face_takes_full_warp(self, center, monkeypatch):
+        v = gaussian_heatmap(HeatmapSpec(), TargetPoint(center), (21, 21, 21), (1, 1, 1))
+        tf, _ = sample_transform(TransformPriors(), 3)
+        ref = affine_reference(tf, v, "trilinear")
+        calls = spy_warps(monkeypatch)
+        np.testing.assert_array_equal(rigid_apply(tf, v).data, ref)
+        assert calls == ["affine_transform"]
+
+    def test_all_zero_volume_takes_full_warp(self, monkeypatch):
+        v = Volume3(np.zeros((12, 12, 12)), (1, 1, 1))
+        calls = spy_warps(monkeypatch)
+        tf, _ = sample_transform(TransformPriors(), 4)
+        assert not rigid_apply(tf, v).data.any()
+        assert calls == ["affine_transform"]
+
+    def test_inner_support_takes_block_warp(self, monkeypatch):
+        v = gaussian_heatmap(HeatmapSpec(), TargetPoint((10.0, 9.5, 11.0)), (21, 21, 21), (1, 1, 1))
+        tf, _ = sample_transform(TransformPriors(), 5)
+        ref = affine_reference(tf, v, "trilinear")
+        calls = spy_warps(monkeypatch)
+        np.testing.assert_array_equal(rigid_apply(tf, v).data, ref)
+        assert calls == ["map_coordinates"]
+
+
+def spy_warps(monkeypatch):
+    """Record which scipy resampler each ``rigid_apply`` call runs."""
+    calls = []
+    for name in ("affine_transform", "map_coordinates"):
+        original = getattr(ndimage, name)
+
+        def spy(*args, _name=name, _original=original, **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(ndimage, name, spy)
+    return calls
 
 
 class TestCommutation:

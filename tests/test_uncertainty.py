@@ -1,7 +1,12 @@
 """Tests for the sampling-based uncertainty machinery."""
 
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from voxloc.heatmap import HeatmapSpec, TargetPoint, argmax_position, gaussian_heatmap
 from voxloc.predictors import (
@@ -15,6 +20,7 @@ from voxloc.predictors import (
 from voxloc.transforms import (
     TransformPriors,
     intensity_apply_inverse,
+    rigid_apply,
     rotation_matrix,
     sample_transform,
 )
@@ -89,6 +95,28 @@ class TestMeanVariance:
         _, var = mean_variance(stack)
         assert var.data.min() >= 0.0
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.sampled_from([np.float32, np.float64]), st.integers(2, 6), st.data())
+    def test_sparse_samples_match_dense_sums_bitwise(self, dtype, n, data):
+        # each sample is 0 outside a drawn box (which may touch a face or hold only zeros)
+        dims = (7, 6, 5)
+        values = st.floats(-2.0, 2.0, width=32) | st.sampled_from([0.0, -0.0, 1e-30, -1e-30])
+        samples = []
+        for _ in range(n):
+            low = [data.draw(st.integers(0, d - 1)) for d in dims]
+            high = [data.draw(st.integers(lo + 1, d)) for lo, d in zip(low, dims)]
+            shape = tuple(hi - lo for lo, hi in zip(low, high))
+            block = data.draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
+            grid = np.zeros(dims, dtype=dtype)
+            grid[tuple(slice(lo, hi) for lo, hi in zip(low, high))] = np.reshape(block, shape)
+            samples.append(Volume3(grid, SP))
+        mean, var = mean_variance(samples)
+        dense = [s.data.astype(np.float64) for s in samples]
+        ref_mean = sum(dense) / n
+        ref_var = np.maximum(sum(d * d for d in dense) / n - ref_mean * ref_mean, 0.0)
+        assert mean.data.tobytes() == ref_mean.tobytes()
+        assert var.data.tobytes() == ref_var.tobytes()
+
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dims"):
             mean_variance([vol(1.0, (4, 4, 4)), vol(1.0, (5, 4, 4))])
@@ -132,6 +160,17 @@ class TestMcConfig:
             McConfig(mode="bootstrap")
         with pytest.raises(ValueError, match="n_samples"):
             McConfig(n_samples=1)
+
+    @pytest.mark.parametrize("n", [2.5, 3.0, np.float64(4.0), "4", None, True, False])
+    def test_rejects_non_integral_sample_count(self, n):
+        with pytest.raises(ValueError, match="n_samples must be an integer"):
+            McConfig(mode="mcdo", n_samples=n)
+
+    def test_accepts_numpy_integer_sample_count(self):
+        cfg = McConfig(mode="mcdo", n_samples=np.int64(3))
+        assert cfg.n_samples == 3 and type(cfg.n_samples) is int
+        s = run_mode(OracleLocalizer(OracleLocalizerConfig(), TRUTH), blank(), cfg)
+        assert s.to_json()["n_samples"] == 3 and len(s.argmax_positions) == 3
 
     def test_mode_mismatch_rejected(self):
         loc = OracleLocalizer(OracleLocalizerConfig(), TRUTH)
@@ -320,6 +359,41 @@ class TestRunMode:
         np.testing.assert_array_equal(s.variance_map.data, var.data)
         assert s.mad == mad(positions)
         assert s.final_target == argmax_position(mean)
+
+    @pytest.mark.parametrize("mode", ["mcdo", "tta", "hybrid"])
+    @pytest.mark.parametrize("target", [(22.0, 25.0, 24.0), (3.0, 24.0, 44.5)], ids=["inner", "near-faces"])
+    def test_matches_dense_reference(self, mode, target):
+        # full-grid passes per sample: affine_transform warp back, dense sums, argmax over the whole grid
+        loc = MarkerLocalizer(OracleLocalizerConfig(jitter_std=1.5, failure_rate=0.2))
+        v = bump(target)
+        cfg = McConfig(mode=mode, n_samples=8, base_seed=70)
+        s = run_mode(loc, v, cfg)
+        heats = []
+        for i in range(cfg.n_samples):
+            seed = cfg.base_seed + i
+            if mode == "mcdo":
+                heats.append(loc.predict(v, stochastic=True, seed=seed).data)
+                continue
+            tf, curve = sample_transform(cfg.priors, seed)
+            latent = intensity_apply_inverse(curve, rigid_apply(tf.invert(), v, "trilinear"))  # dense: full warp
+            heat = loc.predict(latent, stochastic=mode == "hybrid", seed=seed).data
+            rot_inv = rotation_matrix(tf.axis, -tf.angle_deg)
+            pivot = tf.resolve_pivot(v.dims)
+            offset = pivot - rot_inv @ (pivot + np.asarray(tf.translation))
+            heats.append(ndimage.affine_transform(heat, rot_inv, offset=offset, order=1, mode="nearest"))
+        positions = np.array(
+            [np.unravel_index(int(np.nanargmax(h.ravel(order="F"))), h.shape, order="F") for h in heats], dtype=float
+        )
+        mean = sum(heats) / cfg.n_samples
+        var = np.maximum(sum(h * h for h in heats) / cfg.n_samples - mean * mean, 0.0)
+        for got, want in zip(s.sample_heatmaps, heats):
+            np.testing.assert_array_equal(got.data, want)
+        np.testing.assert_array_equal(s.argmax_positions, positions)
+        assert s.mean_map.data.tobytes() == mean.tobytes()
+        assert s.variance_map.data.tobytes() == var.tobytes()
+        assert s.mad == mad(positions)
+        final = np.unravel_index(int(np.nanargmax(mean.ravel(order="F"))), mean.shape, order="F")
+        assert s.final_target.position == tuple(float(p) for p in final)
 
     @pytest.mark.parametrize("mode, prepares", [("mcdo", 1), ("tta", 6), ("hybrid", 6)])
     def test_prepare_once_per_distinct_input(self, mode, prepares):
