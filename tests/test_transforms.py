@@ -328,8 +328,8 @@ class TestRigidApplySupportBounded:
             assert not outside.any()
 
     def test_point_support_under_large_rotation(self):
-        # one voxel, rotated 45 degrees about a body diagonal: the reach of the
-        # interpolation stencil after rotation is the widest the padding must cover
+        # a one-voxel box under large rotations: the rotated reach of the
+        # interpolation stencil is the widest margin the padding must cover
         data = np.zeros((21, 21, 21))
         data[7, 12, 9] = 1.0
         v = Volume3(data, (1, 1, 1))
