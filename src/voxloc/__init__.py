@@ -35,7 +35,6 @@ from voxloc.uncertainty import (
     mad,
     mean_variance,
     rejection_stats,
-    run_hybrid,
     run_mcdo,
     run_mode,
     run_tta,
@@ -77,7 +76,6 @@ __all__ = [
     "UncertaintySummary",
     "run_mcdo",
     "run_tta",
-    "run_hybrid",
     "run_mode",
     "mad",
     "mean_variance",

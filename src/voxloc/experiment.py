@@ -286,8 +286,8 @@ def _is_point(value) -> bool:
     )
 
 
-def _check_entry(manifest_path: Path, entry) -> None:
-    """Check the fields of a manifest entry that run reads outside the per-case failure handling."""
+def _check_labels(manifest_path: Path, entry) -> None:
+    """Check a manifest entry's integer 'id' and boolean 'hard', which both run and analyze read."""
     if not isinstance(entry, dict):
         raise SchemaError(f"manifest {manifest_path} has a case entry that is not an object: {entry!r}")
     case_id = entry.get("id")
@@ -295,6 +295,12 @@ def _check_entry(manifest_path: Path, entry) -> None:
         raise SchemaError(f"manifest {manifest_path} has a case entry without an integer 'id'")
     if not isinstance(entry.get("hard"), bool):
         raise SchemaError(f"manifest {manifest_path} case {case_id} has no boolean 'hard'")
+
+
+def _check_entry(manifest_path: Path, entry) -> None:
+    """Check the fields of a manifest entry that run reads outside the per-case failure handling."""
+    _check_labels(manifest_path, entry)
+    case_id = entry["id"]
     truths = entry.get("truth_targets")
     if not isinstance(truths, dict) or not all(_is_point(truths.get(side)) for side in SIDES):
         raise SchemaError(
@@ -502,6 +508,11 @@ def _read_results(path: Path) -> tuple[dict, list[dict]]:
         missing = sorted(set(RESULT_COLUMNS) - set(reader.fieldnames or ()))
         raise SchemaError(f"results file {path} is missing columns {missing}")
     records = list(reader)
+    for r in records:
+        try:
+            r["case_id"] = int(r["case_id"])
+        except (TypeError, ValueError):
+            raise SchemaError(f"results file {path} has a non-integer case_id {r['case_id']!r}") from None
     unknown = sorted({r["mode"] for r in records} - set(MODE_ORDER))
     if unknown:
         raise SchemaError(f"results file {path} has unknown modes {unknown}; expected {MODE_ORDER}")
@@ -513,11 +524,14 @@ def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: st
     meta, records = _read_results(results_path)
     try:
         manifest = read_manifest(manifest_path)
-        hard_cases = sorted(int(c["id"]) for c in manifest["cases"] if c["hard"])
+        entries = manifest["cases"]
+        for entry in entries:
+            _check_labels(manifest_path, entry)
     except OSError as exc:
         raise SchemaError(f"cannot read manifest {manifest_path}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"manifest {manifest_path} is malformed: {exc}") from exc
+    hard_cases = sorted(entry["id"] for entry in entries if entry["hard"])
 
     modes_present = list(dict.fromkeys(r["mode"] for r in records))
     long_rows: list[list] = []
@@ -530,7 +544,7 @@ def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: st
         if stats is None:
             continue
         flagged_set = set(stats.flagged)
-        flagged_cases = sorted({int(scored[i]["case_id"]) for i in flagged_set})
+        flagged_cases = sorted({scored[i]["case_id"] for i in flagged_set})
         hits = set(flagged_cases) & hard_lookup
         recall = len(hits) / len(hard_cases) if hard_cases else None
         precision = len(hits) / len(flagged_cases) if flagged_cases else None
@@ -542,8 +556,7 @@ def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: st
             "n_scored": len(scored),
         }
         for i, r in enumerate(scored):
-            case_id = int(r["case_id"])
-            long_rows.append([case_id, r["side"], mode, mads[i], i in flagged_set, case_id in hard_lookup])
+            long_rows.append([r["case_id"], r["side"], mode, mads[i], i in flagged_set, r["case_id"] in hard_lookup])
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

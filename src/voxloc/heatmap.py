@@ -1,8 +1,9 @@
-"""Gaussian target heatmaps, argmax decoding, and loss/metric functions."""
+"""Gaussian target heatmaps, argmax decoding, and the weighted-MSE loss."""
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -15,7 +16,6 @@ __all__ = [
     "gaussian_heatmap",
     "argmax_position",
     "wmse",
-    "dice_score",
 ]
 
 
@@ -37,7 +37,7 @@ class HeatmapSpec:
         if self.sigma_mm <= 0:
             raise ValueError(f"sigma must be > 0, got {self.sigma_mm}")
         two_var = 2.0 * self.sigma_mm * self.sigma_mm  # the heatmap's denominator; ** would raise on overflow
-        if two_var == 0.0 or not math.isfinite(two_var):
+        if two_var < sys.float_info.min or not math.isfinite(two_var):
             raise ValueError(f"sigma {self.sigma_mm} mm is too small or too large: 2*sigma^2 is {two_var}")
         if not 0.0 <= self.cutoff < self.peak:
             raise ValueError(f"cutoff must lie in [0, peak), got {self.cutoff}")
@@ -74,7 +74,9 @@ def gaussian_heatmap(spec: HeatmapSpec, center: TargetPoint, dims, spacing) -> V
 
     ``value(v) = peak * exp(-||v - c||^2_mm / (2 sigma^2))`` with distances
     taken in millimetres; values below the cutoff are exactly 0. The peak
-    is exactly ``spec.peak`` when the center lies on a voxel.
+    is exactly ``spec.peak`` when the center lies on a voxel. A center
+    inside the grid whose map would be all zero (a sigma far below the
+    voxel size) is an error, so a heatmap never silently encodes nothing.
     """
     dims = tuple(int(d) for d in dims)
     spacing = tuple(float(s) for s in spacing)
@@ -101,6 +103,8 @@ def gaussian_heatmap(spec: HeatmapSpec, center: TargetPoint, dims, spacing) -> V
     dist2 = d2[0][:, None, None] + d2[1][None, :, None] + d2[2][None, None, :]
     block = spec.peak * np.exp(-dist2 / (2.0 * spec.sigma_mm**2))
     block[block < spec.cutoff] = 0.0
+    if not block.any() and all(0.0 <= c[a] <= dims[a] - 1 for a in range(3)):
+        raise ValueError(f"no voxel reaches the cutoff: sigma {spec.sigma_mm} mm is far below the voxel size")
     out[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = block
     return Volume3(out, spacing)
 
@@ -158,19 +162,3 @@ def wmse(pred: Volume3, gt: Volume3, fg_weight: float = 100.0) -> tuple[float, V
     loss = float(np.sum(w * diff * diff) / volume)
     grad = (2.0 / volume) * w * diff
     return loss, Volume3(grad, pred.spacing)
-
-
-def dice_score(a: Volume3, b: Volume3) -> float:
-    """Overlap score 2|a n b| / (|a| + |b|) of two binary volumes.
-
-    Both-empty inputs score 1 (perfect agreement on "nothing there").
-    """
-    if a.dims != b.dims:
-        raise ValueError(f"dim mismatch: {a.dims} vs {b.dims}")
-    am = a.data != 0
-    bm = b.data != 0
-    denom = int(am.sum()) + int(bm.sum())
-    if denom == 0:
-        return 1.0
-    inter = int(np.logical_and(am, bm).sum())
-    return 2.0 * inter / denom

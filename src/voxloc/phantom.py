@@ -2,12 +2,12 @@
 
 Each phantom holds two ellipsoidal "thalami" on a flat background, a
 bright compact marker painted at each latent target (so content-based
-localizers have something to find), and optional difficulty knobs:
-a lateral displacement that pushes the structures apart (standing in
-for enlarged ventricles), additive Gaussian noise and a multiplicative
-low-order polynomial bias field. Masks are exact ellipsoid lattices
-computed before noise, and targets are transported with the
-displacement, so ground truth stays analytic for every knob setting.
+localizers have something to find), and two difficulty knobs: a
+lateral displacement that pushes the structures apart (standing in for
+enlarged ventricles) and additive Gaussian noise. Masks are exact
+ellipsoid lattices computed before noise, and targets are transported
+with the displacement, so ground truth stays analytic for every knob
+setting.
 """
 
 from __future__ import annotations
@@ -66,7 +66,6 @@ class PhantomSpec:
     marker_sigma_mm: float = 1.2
     ventricle_enlargement_mm: float = 0.0
     noise_std: float = 0.0
-    bias_field_amplitude: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
@@ -89,7 +88,7 @@ class PhantomSpec:
             raise ValueError("target offset fractions must keep the target inside the mask")
         if self.marker_amplitude < 0 or self.marker_sigma_mm <= 0:
             raise ValueError("marker amplitude must be >= 0 with positive sigma")
-        if self.ventricle_enlargement_mm < 0 or self.noise_std < 0 or self.bias_field_amplitude < 0:
+        if self.ventricle_enlargement_mm < 0 or self.noise_std < 0:
             raise ValueError("corruption knobs must be >= 0")
         object.__setattr__(self, "dims", dims)
         object.__setattr__(self, "spacing", spacing)
@@ -156,31 +155,12 @@ def _edge_profile(rho2: np.ndarray, width: float) -> np.ndarray:
     return 0.5 * (1.0 + np.cos(np.pi * t))
 
 
-def _bias_field(spec: PhantomSpec, rng: np.random.Generator) -> np.ndarray:
-    # quadratic polynomial in normalized coords, peak magnitude 1, no constant term
-    coeffs = rng.uniform(-1.0, 1.0, 9)
-    u = [np.linspace(-1.0, 1.0, d) if d > 1 else np.zeros(1) for d in spec.dims]
-    U = u[0][:, None, None]
-    V = u[1][None, :, None]
-    W = u[2][None, None, :]
-    p = (
-        coeffs[0] * U + coeffs[1] * V + coeffs[2] * W
-        + coeffs[3] * U * V + coeffs[4] * U * W + coeffs[5] * V * W
-        + coeffs[6] * U**2 + coeffs[7] * V**2 + coeffs[8] * W**2
-    )
-    peak = np.abs(p).max()
-    if peak > 0:
-        p /= peak
-    return 1.0 + spec.bias_field_amplitude * p
-
-
 def generate_phantom(spec: PhantomSpec) -> PhantomCase:
     """Build one phantom deterministically from its spec.
 
-    Random draws happen in a fixed order (bias coefficients, then noise)
-    so the same seed always yields a bitwise-identical case.
+    The noise is the only random draw, so the same seed always yields a
+    bitwise-identical case.
     """
-    rng = np.random.default_rng(spec.seed)
     left_c, right_c = spec.structure_centers_mm()
     rho2_left = _rho_squared(spec, left_c)
     rho2_right = _rho_squared(spec, right_c)
@@ -205,10 +185,8 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
         bump = gaussian_heatmap(marker, TargetPoint(truth.position), spec.dims, spec.spacing)
         img += spec.marker_amplitude * bump.data
 
-    if spec.bias_field_amplitude > 0:
-        img *= _bias_field(spec, rng)
     if spec.noise_std > 0:
-        img += rng.normal(0.0, spec.noise_std, spec.dims)
+        img += np.random.default_rng(spec.seed).normal(0.0, spec.noise_std, spec.dims)
 
     image = rescale_intensity(Volume3(img, spec.spacing))
     image = Volume3(image.data.astype(np.float32), spec.spacing)

@@ -53,6 +53,8 @@ class PipelineFailureError(Exception):
 COARSE_DIMS = (80, 80, 80)
 #: Size in voxels of each stage-2 crop.
 CROP_EXTENT = (64, 64, 64)
+# stage-1 components are 26-connected: voxels touching at a face, edge or corner
+_NEIGHBOURS = ndimage.generate_binary_structure(3, 3)
 
 
 @dataclass(frozen=True)
@@ -123,19 +125,16 @@ class PipelineResult:
         }
 
 
-def largest_connected_component(mask: Volume3, connectivity: int = 26) -> Volume3:
-    """Keep only the largest foreground component.
+def largest_connected_component(mask: Volume3) -> Volume3:
+    """Keep only the largest 26-connected foreground component.
 
     Size ties break to the component whose smallest linear index
     (x-fastest order) is smallest.
     """
-    if connectivity not in (6, 26):
-        raise ValueError(f"connectivity must be 6 or 26, got {connectivity}")
     binary = mask.data > 0.5
     if not binary.any():
         raise EmptyComponentError("mask has no foreground voxels")
-    structure = ndimage.generate_binary_structure(3, 1 if connectivity == 6 else 3)
-    labels, n = ndimage.label(binary, structure=structure)
+    labels, n = ndimage.label(binary, structure=_NEIGHBOURS)
     if n == 1:
         return mask.with_data(binary.astype(np.float64))
     counts = np.bincount(labels.ravel())

@@ -9,14 +9,14 @@ their composition:
   inference-time inverted dropout, exercising real Monte Carlo dropout
   mechanics with loadable or seeded weights.
 * ``OracleLocalizer`` / ``MarkerLocalizer``: controlled test doubles
-  that emit a Gaussian heatmap at a known target with configurable bias,
+  that emit a Gaussian heatmap at a known target with configurable
   positional jitter and a spurious-peak failure mode. The marker variant
   finds its target from the volume content (the brightest compact blob),
   which makes it equivariant under spatial augmentation.
 * ``EchoLocalizer``: returns its input, handy for chain-reduction tests.
 
 Segmentation is stage-1 plumbing here, so ``TruthMaskSegmenter`` wraps
-known phantom masks, optionally noise-perturbed at their boundary.
+known phantom masks.
 """
 
 from __future__ import annotations
@@ -292,14 +292,13 @@ class OracleLocalizerConfig:
     """Controlled error model for localizer test doubles.
 
     ``jitter_std`` adds per-axis Gaussian position noise in stochastic
-    mode; ``bias`` is a fixed offset in voxels; with probability
-    ``failure_rate`` the heatmap is replaced by a spurious peak far from
-    the target. A deterministic pass only fails when ``failure_rate``
-    is 1 (guaranteed failures must corrupt baselines too).
+    mode; with probability ``failure_rate`` the heatmap is replaced by a
+    spurious peak far from the target. A deterministic pass only fails
+    when ``failure_rate`` is 1 (guaranteed failures must corrupt
+    baselines too).
     """
 
     jitter_std: float = 0.0
-    bias: tuple[float, float, float] = (0.0, 0.0, 0.0)
     failure_rate: float = 0.0
     heatmap: HeatmapSpec = field(default_factory=HeatmapSpec)
 
@@ -308,7 +307,6 @@ class OracleLocalizerConfig:
             raise ValueError(f"jitter_std must be >= 0, got {self.jitter_std}")
         if not 0.0 <= self.failure_rate <= 1.0:
             raise ValueError(f"failure_rate must lie in [0,1], got {self.failure_rate}")
-        object.__setattr__(self, "bias", tuple(float(b) for b in self.bias))
 
 
 def _far_peak_deterministic(truth: np.ndarray, dims: np.ndarray) -> np.ndarray:
@@ -334,18 +332,18 @@ def oracle_localize(
     stochastic: bool = False,
     seed: int = 0,
 ) -> Volume3:
-    """Gaussian heatmap at truth + bias, with configured jitter/failures."""
+    """Gaussian heatmap at truth, with configured jitter/failures."""
     pos = truth.as_array
     dims = np.asarray(v.dims, dtype=np.float64)
     if np.any(pos < 0) or np.any(pos > dims - 1.0):
         raise ValueError(f"truth {truth.position} outside volume bounds {v.dims}")
-    center = pos + np.asarray(cfg.bias)
+    center = pos
     if stochastic:
         rng = np.random.default_rng(seed)
         if rng.uniform() < cfg.failure_rate:
             center = _far_peak_random(pos, dims, rng)
         elif cfg.jitter_std > 0:
-            center = center + rng.normal(0.0, cfg.jitter_std, size=3)
+            center = pos + rng.normal(0.0, cfg.jitter_std, size=3)
     elif cfg.failure_rate >= 1.0:
         center = _far_peak_deterministic(pos, dims)
     return gaussian_heatmap(cfg.heatmap, TargetPoint(tuple(center)), v.dims, v.spacing)
@@ -435,14 +433,6 @@ def _binarize(v: Volume3, dims) -> np.ndarray:
     return v.data > 0.5
 
 
-def _boundary_perturb(mask: np.ndarray, flip_rate: float, rng: np.random.Generator) -> np.ndarray:
-    # flip a fraction of the one-voxel shell on both sides of the surface
-    inner = mask & ~ndimage.binary_erosion(mask)
-    outer = ndimage.binary_dilation(mask) & ~mask
-    flips = (inner | outer) & (rng.random(mask.shape) < flip_rate)
-    return mask ^ flips
-
-
 def _stack_probabilities(left: np.ndarray, right: np.ndarray, spacing) -> tuple[Volume3, Volume3, Volume3]:
     p_left = np.where(left, _P_FG, _P_OFF)
     p_right = np.where(right, _P_FG, _P_OFF)
@@ -461,31 +451,15 @@ def _stack_probabilities(left: np.ndarray, right: np.ndarray, spacing) -> tuple[
 class TruthMaskSegmenter:
     """Stage-1 stand-in that derives probabilities from known masks.
 
-    Masks are resampled (nearest) to the input grid, optionally perturbed
-    along their boundary shell, and converted to near-one-hot channel
-    probabilities. Repeated calls are deterministic: the perturbation rng
-    is re-seeded per call.
+    Masks are resampled (nearest) to the input grid and converted to
+    near-one-hot channel probabilities.
     """
 
-    def __init__(
-        self,
-        left_mask: Volume3,
-        right_mask: Volume3,
-        boundary_noise: bool = False,
-        flip_rate: float = 0.3,
-        seed: int = 0,
-    ):
+    def __init__(self, left_mask: Volume3, right_mask: Volume3):
         self.left_mask = left_mask
         self.right_mask = right_mask
-        self.boundary_noise = bool(boundary_noise)
-        self.flip_rate = float(flip_rate)
-        self.seed = int(seed)
 
     def predict(self, v: Volume3) -> tuple[Volume3, Volume3, Volume3]:
         left = _binarize(self.left_mask, v.dims)
         right = _binarize(self.right_mask, v.dims)
-        if self.boundary_noise:
-            rng = np.random.default_rng(self.seed)
-            left = _boundary_perturb(left, self.flip_rate, rng)
-            right = _boundary_perturb(right, self.flip_rate, rng)
         return _stack_probabilities(left, right, v.spacing)

@@ -50,7 +50,6 @@ __all__ = [
     "mad",
     "run_mcdo",
     "run_tta",
-    "run_hybrid",
     "run_mode",
     "BoxplotStats",
     "rejection_stats",
@@ -107,17 +106,6 @@ class UncertaintySummary:
     centroid: tuple[float, float, float]
     mad: float
     final_target: TargetPoint
-
-    def to_json(self) -> dict:
-        return {
-            "mode": self.mode,
-            "n_samples": self.n_samples,
-            "base_seed": self.base_seed,
-            "argmax_positions": self.argmax_positions.tolist(),
-            "centroid": list(self.centroid),
-            "mad": self.mad,
-            "final_target": list(self.final_target.position),
-        }
 
 
 class _Accumulator:
@@ -245,11 +233,6 @@ def run_mcdo(loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:
 def run_tta(loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:
     """Augmentation passes with the deterministic predictor."""
     return _run_expecting("tta", loc, v, cfg)
-
-
-def run_hybrid(loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:
-    """Augmentation passes with the stochastic predictor."""
-    return _run_expecting("hybrid", loc, v, cfg)
 
 
 # ---------------------------------------------------------------------------

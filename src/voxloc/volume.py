@@ -107,11 +107,6 @@ class VoxelBox:
     def low(self) -> tuple[int, int, int]:
         return tuple(c - e // 2 for c, e in zip(self.center, self.extent))
 
-    @property
-    def high(self) -> tuple[int, int, int]:
-        """Exclusive upper corner."""
-        return tuple(lo + e for lo, e in zip(self.low, self.extent))
-
 
 # ---------------------------------------------------------------------------
 # resampling

@@ -524,6 +524,30 @@ class TestCli:
         assert field in lines[0]
         assert not out.exists()  # stopped before any case ran
 
+    @pytest.mark.parametrize(
+        "entry, case_id, field",
+        [
+            ({"id": "x", "hard": True}, "0", "id"),
+            ({"id": 0}, "0", "hard"),
+            ("case_000", "0", "object"),
+            ({"id": 0, "hard": True}, "abc", "case_id"),
+        ],
+        ids=["string-id", "no-hard", "not-an-object", "string-case-id"],
+    )
+    def test_malformed_analyze_input_is_one_line_io_error(self, tmp_path, capsys, entry, case_id, field):
+        (tmp_path / "manifest.json").write_text(json.dumps({"cases": [entry]}))
+        results = tmp_path / "results.csv"
+        write_results_fixture(results, {i: 1.0 for i in range(4)})
+        results.write_text(results.read_text().replace("\n0,left", f"\n{case_id},left", 1))
+        out = tmp_path / "r"
+        assert main(["analyze", "--results", str(results), "--cohort", str(tmp_path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert field in lines[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("defect", ["f16-dtype", "layout-mismatch"])
     def test_malformed_weight_file_is_one_line_io_error(self, cohort_dir, tmp_path, capsys, defect):
         weights = tmp_path / "weights.json"
@@ -622,6 +646,20 @@ def one_case_cohort(tmp_path_factory):
 
 
 class TestCliConfigValues:
+    def test_sub_voxel_heatmap_sigma_fails_rows(self, one_case_cohort, tmp_path, capsys):
+        # jittered marker centres are sub-voxel: a 0.1 mm sigma puts no voxel above the cutoff
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"heatmap_sigma_mm": 0.1}))
+        out = tmp_path / "out"
+        rc = main(["run", "--config", str(cfg_path), "--cohort", str(one_case_cohort), "--out", str(out),
+                   "--modes", "mcdo", "--n-samples", "2", "--workers", "1"])
+        assert rc == EXIT_PARTIAL
+        assert "Traceback" not in capsys.readouterr().err
+        _, rows = read_rows(out / "results.csv")
+        assert len(rows) == 2 and {r["status"] for r in rows} == {"failed"}
+        errors = json.loads((out / "cases" / "case_000.json").read_text())["mode_errors"]
+        assert all("cutoff" in message for message in errors.values())
+
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
     @given(field=st.sampled_from(DRAWN_FIELDS), value=JSON_VALUES)
     @example(field="heatmap_sigma_mm", value=1.3407807929942597e154)  # sigma**2 overflows in the pipeline

@@ -1,4 +1,4 @@
-"""Gaussian heatmap construction, argmax decoding, WMSE and Dice."""
+"""Gaussian heatmap construction, argmax decoding and WMSE."""
 
 from __future__ import annotations
 
@@ -13,7 +13,6 @@ from voxloc.heatmap import (
     HeatmapSpec,
     TargetPoint,
     argmax_position,
-    dice_score,
     gaussian_heatmap,
     wmse,
 )
@@ -41,7 +40,7 @@ class TestHeatmapSpec:
         with pytest.raises(ValueError):
             HeatmapSpec(cutoff=1.0)
 
-    @pytest.mark.parametrize("sigma", [5e-324, 1e-170, 1.34e154, 1e200, math.inf])
+    @pytest.mark.parametrize("sigma", [5e-324, 1e-170, 1e-160, 1.34e154, 1e200, math.inf])
     def test_rejects_sigma_whose_variance_underflows_or_overflows(self, sigma):
         # 2*sigma^2 is the heatmap's denominator: 0 would put a NaN at the center voxel
         with pytest.raises(ValueError, match="sigma"):
@@ -51,6 +50,17 @@ class TestHeatmapSpec:
         h = gaussian_heatmap(HeatmapSpec(sigma_mm=1e-150), TargetPoint((5, 5, 5)), (10, 10, 10), (1, 1, 1))
         assert np.isfinite(h.data).all()
         assert argmax_position(h).position == (5.0, 5.0, 5.0)
+
+    @pytest.mark.parametrize("sigma", [0.1, 1e-150])
+    def test_sub_voxel_sigma_off_voxel_center_is_rejected(self, sigma):
+        # no voxel reaches the cutoff: the map would be all zero and decode to (0, 0, 0)
+        with pytest.raises(ValueError, match="cutoff"):
+            gaussian_heatmap(HeatmapSpec(sigma_mm=sigma), TargetPoint((5.3, 5, 5)), (10, 10, 10), (1, 1, 1))
+
+    def test_sub_voxel_sigma_off_grid_center_gives_zero_map(self):
+        # past the last voxel the map may be empty: the target left the grid
+        h = gaussian_heatmap(HeatmapSpec(sigma_mm=0.1), TargetPoint((9.3, 5, 5)), (10, 10, 10), (1, 1, 1))
+        assert not h.data.any()
 
 
 class TestGaussianHeatmap:
@@ -239,51 +249,6 @@ class TestWmse:
         a = Volume3(np.zeros((2, 2, 2)), (1, 1, 1))
         with pytest.raises(ValueError):
             wmse(a, a, fg_weight=0.5)
-
-
-def _mask(dims, coords):
-    data = np.zeros(dims)
-    for cdx in coords:
-        data[cdx] = 1.0
-    return Volume3(data, (1, 1, 1))
-
-
-class TestDice:
-    def test_identical_nonempty(self):
-        a = _mask((4, 4, 4), [(0, 0, 0), (1, 1, 1)])
-        assert dice_score(a, a) == 1.0
-
-    def test_disjoint(self):
-        a = _mask((4, 4, 4), [(0, 0, 0)])
-        b = _mask((4, 4, 4), [(1, 1, 1)])
-        assert dice_score(a, b) == 0.0
-
-    def test_half_overlap(self):
-        coords_a = [(i, 0, 0) for i in range(4)] + [(i, 1, 0) for i in range(4)]
-        coords_b = [(i, 1, 0) for i in range(4)] + [(i, 2, 0) for i in range(4)]
-        a = _mask((4, 4, 4), coords_a)
-        b = _mask((4, 4, 4), coords_b)
-        assert dice_score(a, b) == 0.5
-
-    def test_both_empty(self):
-        a = _mask((3, 3, 3), [])
-        assert dice_score(a, a) == 1.0
-
-    def test_dim_mismatch_rejected(self):
-        a = _mask((2, 2, 2), [])
-        b = _mask((3, 3, 3), [])
-        with pytest.raises(ValueError):
-            dice_score(a, b)
-
-    @settings(max_examples=30, deadline=None)
-    @given(st.integers(0, 2**27 - 1), st.integers(0, 2**27 - 1))
-    def test_symmetric_and_bounded(self, bits_a, bits_b):
-        dims = (3, 3, 3)
-        a = Volume3(((bits_a >> np.arange(27)) & 1).astype(np.float64).reshape(dims), (1, 1, 1))
-        b = Volume3(((bits_b >> np.arange(27)) & 1).astype(np.float64).reshape(dims), (1, 1, 1))
-        s_ab = dice_score(a, b)
-        assert s_ab == dice_score(b, a)
-        assert 0.0 <= s_ab <= 1.0
 
 
 class TestTargetPoint:

@@ -5,7 +5,6 @@ import json
 import numpy as np
 import pytest
 
-from voxloc.heatmap import dice_score
 from voxloc.phantom import (
     InfeasibleSpecError,
     PhantomSpec,
@@ -70,7 +69,7 @@ class TestGeneratePhantom:
         assert half.max() == half[idx]
 
     def test_same_seed_bitwise_identical(self):
-        spec = PhantomSpec(dims=(96, 96, 96), noise_std=0.05, bias_field_amplitude=0.2, seed=11)
+        spec = PhantomSpec(dims=(96, 96, 96), noise_std=0.05, seed=11)
         a = generate_phantom(spec)
         b = generate_phantom(spec)
         np.testing.assert_array_equal(a.image.data, b.image.data)
@@ -97,7 +96,7 @@ class TestGeneratePhantom:
         assert moved.truth_left.position[0] - base.truth_left.position[0] == pytest.approx(-8.0)
 
     def test_noise_and_bias_keep_unit_range(self):
-        case = generate_phantom(PhantomSpec(dims=(96, 96, 96), noise_std=0.08, bias_field_amplitude=0.3, seed=3))
+        case = generate_phantom(PhantomSpec(dims=(96, 96, 96), noise_std=0.08, seed=3))
         assert case.image.data.min() == pytest.approx(0.0)
         assert case.image.data.max() == pytest.approx(1.0)
 
@@ -134,7 +133,8 @@ class TestMaskRoundtrip:
         for mask in (case.left_mask, case.right_mask):
             coarse = downsample_to(mask, (80, 80, 80), interpolation="nearest")
             back = downsample_to(coarse, (192, 192, 192), interpolation="nearest")
-            assert dice_score(back, mask) >= 0.9
+            a, b = back.data != 0, mask.data != 0
+            assert 2.0 * np.sum(a & b) / (np.sum(a) + np.sum(b)) >= 0.9  # Dice overlap
 
 
 class TestCohort:

@@ -21,15 +21,14 @@ from voxloc.volume import Volume3, downsample_to, flip_lr
 SP = (1.0, 1.0, 1.0)
 
 
-def components_bfs(mask: np.ndarray, connectivity: int):
-    """Independent flood fill; returns a list of voxel-index lists."""
+def components_bfs(mask: np.ndarray):
+    """Independent 26-connected flood fill; returns a list of voxel-index lists."""
     offsets = [
         (dx, dy, dz)
         for dx in (-1, 0, 1)
         for dy in (-1, 0, 1)
         for dz in (-1, 0, 1)
         if (dx, dy, dz) != (0, 0, 0)
-        and (connectivity == 26 or abs(dx) + abs(dy) + abs(dz) == 1)
     ]
     seen = np.zeros(mask.shape, dtype=bool)
     comps = []
@@ -54,8 +53,8 @@ def linear_index(p, dims):
     return p[0] + dims[0] * (p[1] + dims[1] * p[2])
 
 
-def oracle_largest(mask: np.ndarray, connectivity: int) -> np.ndarray:
-    comps = components_bfs(mask, connectivity)
+def oracle_largest(mask: np.ndarray) -> np.ndarray:
+    comps = components_bfs(mask)
     best = max(comps, key=lambda c: (len(c), -min(linear_index(p, mask.shape) for p in c)))
     out = np.zeros(mask.shape, dtype=bool)
     for p in best:
@@ -74,7 +73,7 @@ class TestLargestConnectedComponent:
         mask = np.zeros((12, 12, 12), dtype=bool)
         mask[1:3, 1:3, 1:3] = True  # 8 voxels
         mask[8:11, 8:11, 8:11] = True  # 27 voxels
-        out = largest_connected_component(Volume3(mask.astype(float), SP), connectivity=6)
+        out = largest_connected_component(Volume3(mask.astype(float), SP))
         expected = np.zeros_like(mask)
         expected[8:11, 8:11, 8:11] = True
         np.testing.assert_array_equal(out.data > 0.5, expected)
@@ -83,32 +82,29 @@ class TestLargestConnectedComponent:
         mask = np.zeros((6, 6, 6))
         mask[2, 2, 2] = 1.0
         mask[3, 3, 3] = 1.0
-        both = largest_connected_component(Volume3(mask, SP), connectivity=26)
-        assert both.data.sum() == 2.0
-        # under 6-connectivity they are separate; tie breaks to the
-        # voxel with the smaller x-fastest linear index
-        one = largest_connected_component(Volume3(mask, SP), connectivity=6)
+        both = largest_connected_component(Volume3(mask, SP))
+        assert both.data.sum() == 2.0  # corner neighbours are connected
+        # two voxels two apart are separate; the tie breaks to the smaller
+        # x-fastest linear index, which is not the smaller C-order one
+        mask = np.zeros((6, 6, 6))
+        mask[4, 2, 2] = 1.0
+        mask[2, 2, 4] = 1.0
+        one = largest_connected_component(Volume3(mask, SP))
         assert one.data.sum() == 1.0
-        assert one.data[2, 2, 2] == 1.0
+        assert one.data[4, 2, 2] == 1.0
 
-    @pytest.mark.parametrize("connectivity", [6, 26])
-    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_flood_fill_oracle(self, connectivity, seed):
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3], ids=lambda seed: f"{seed}-26")
+    def test_matches_flood_fill_oracle(self, seed):
         rng = np.random.default_rng(seed)
         mask = rng.random((14, 14, 14)) < 0.18
         if not mask.any():
             mask[0, 0, 0] = True
-        out = largest_connected_component(Volume3(mask.astype(float), SP), connectivity)
-        np.testing.assert_array_equal(out.data > 0.5, oracle_largest(mask, connectivity))
+        out = largest_connected_component(Volume3(mask.astype(float), SP))
+        np.testing.assert_array_equal(out.data > 0.5, oracle_largest(mask))
 
     def test_empty_mask_rejected(self):
         with pytest.raises(EmptyComponentError):
             largest_connected_component(Volume3(np.zeros((4, 4, 4)), SP))
-
-    def test_bad_connectivity_rejected(self):
-        mask = np.ones((3, 3, 3))
-        with pytest.raises(ValueError):
-            largest_connected_component(Volume3(mask, SP), connectivity=18)
 
 
 class TestBoundingBoxCenter:
@@ -263,7 +259,7 @@ class TestCoordinateMapping:
         coarse = downsample_to(phantom_case.image, COARSE_DIMS, interpolation="trilinear")
         _, left_prob, right_prob = cfg.segmenter.predict(coarse)
         for side, prob in (("left", left_prob), ("right", right_prob)):
-            comp = largest_connected_component(prob.with_data((prob.data >= 0.5).astype(float)), 26)
+            comp = largest_connected_component(prob.with_data((prob.data >= 0.5).astype(float)))
             full = downsample_to(comp, phantom_case.image.dims, interpolation="nearest")
             assert result.sides[side].box.center == bounding_box_center(full)
 

@@ -32,7 +32,6 @@ from voxloc.uncertainty import (
     mad,
     mean_variance,
     rejection_stats,
-    run_hybrid,
     run_mcdo,
     run_mode,
     run_tta,
@@ -170,7 +169,7 @@ class TestMcConfig:
         cfg = McConfig(mode="mcdo", n_samples=np.int64(3))
         assert cfg.n_samples == 3 and type(cfg.n_samples) is int
         s = run_mode(OracleLocalizer(OracleLocalizerConfig(), TRUTH), blank(), cfg)
-        assert s.to_json()["n_samples"] == 3 and len(s.argmax_positions) == 3
+        assert s.n_samples == 3 and len(s.argmax_positions) == 3
 
     def test_mode_mismatch_rejected(self):
         loc = OracleLocalizer(OracleLocalizerConfig(), TRUTH)
@@ -178,8 +177,6 @@ class TestMcConfig:
             run_mcdo(loc, blank(), McConfig(mode="tta"))
         with pytest.raises(ValueError, match="expected 'tta'"):
             run_tta(loc, blank(), McConfig(mode="mcdo"))
-        with pytest.raises(ValueError, match="expected 'hybrid'"):
-            run_hybrid(loc, blank(), McConfig(mode="mcdo"))
 
 
 class TestRunMcdo:
@@ -296,7 +293,7 @@ class TestRunHybrid:
     def test_degenerate_sources_collapse(self):
         loc = MarkerLocalizer(OracleLocalizerConfig())  # no jitter
         cfg = McConfig(mode="hybrid", n_samples=4, priors=TransformPriors.identity(), base_seed=1)
-        assert run_hybrid(loc, bump((22.0, 25.0, 24.0)), cfg).mad == 0.0
+        assert run_mode(loc, bump((22.0, 25.0, 24.0)), cfg).mad == 0.0
 
     def test_hybrid_at_least_each_source(self):
         v = bump((22.0, 25.0, 24.0))
@@ -304,14 +301,14 @@ class TestRunHybrid:
         jitter = OracleLocalizerConfig(jitter_std=0.8)
         m = run_mcdo(MarkerLocalizer(jitter), v, McConfig(mode="mcdo", n_samples=24, base_seed=2, keep_samples=False))
         t = run_tta(MarkerLocalizer(OracleLocalizerConfig()), v, McConfig(mode="tta", n_samples=24, priors=priors, base_seed=2, keep_samples=False))
-        h = run_hybrid(MarkerLocalizer(jitter), v, McConfig(mode="hybrid", n_samples=24, priors=priors, base_seed=2, keep_samples=False))
+        h = run_mode(MarkerLocalizer(jitter), v, McConfig(mode="hybrid", n_samples=24, priors=priors, base_seed=2, keep_samples=False))
         assert h.mad >= max(m.mad, t.mad) - 0.5
 
     def test_pure_translation_floor(self):
         loc = MarkerLocalizer(OracleLocalizerConfig())
         priors = TransformPriors(s_range=(-5, 5), r_range=(0, 0), curve_control_range=(0.5, 0.5))
         cfg = McConfig(mode="hybrid", n_samples=16, priors=priors, base_seed=7, keep_samples=False)
-        s = run_hybrid(loc, bump((22.0, 25.0, 24.0)), cfg)
+        s = run_mode(loc, bump((22.0, 25.0, 24.0)), cfg)
         assert s.mad <= 0.75
 
 
@@ -421,13 +418,6 @@ class TestSummary:
         loc = OracleLocalizer(OracleLocalizerConfig(jitter_std=1.0), TRUTH)
         s = run_mcdo(loc, blank(), McConfig(mode="mcdo", n_samples=16, base_seed=4))
         assert s.final_target.position == argmax_position(s.mean_map).position
-
-    def test_json_fields(self):
-        loc = OracleLocalizer(OracleLocalizerConfig(), TRUTH)
-        s = run_mcdo(loc, blank(), McConfig(mode="mcdo", n_samples=4))
-        obj = s.to_json()
-        assert set(obj) == {"mode", "n_samples", "base_seed", "argmax_positions", "centroid", "mad", "final_target"}
-        assert len(obj["argmax_positions"]) == 4
 
 
 class TestRejectionStats:
