@@ -101,7 +101,8 @@ def gaussian_heatmap(spec: HeatmapSpec, center: TargetPoint, dims, spacing) -> V
         for a in range(3)
     ]
     dist2 = d2[0][:, None, None] + d2[1][None, :, None] + d2[2][None, None, :]
-    block = spec.peak * np.exp(-dist2 / (2.0 * spec.sigma_mm**2))
+    with np.errstate(over="ignore"):  # a sigma near its floor saturates the quotient to -inf: exp gives 0
+        block = spec.peak * np.exp(-dist2 / (2.0 * spec.sigma_mm**2))
     block[block < spec.cutoff] = 0.0
     if not block.any() and all(0.0 <= c[a] <= dims[a] - 1 for a in range(3)):
         raise ValueError(f"no voxel reaches the cutoff: sigma {spec.sigma_mm} mm is far below the voxel size")

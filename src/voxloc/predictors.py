@@ -70,6 +70,9 @@ class Localizer(Protocol):
       (input, seed).
     * ``sample`` never writes into the state: one state serves any
       number of samples.
+    * ``prepare`` and ``sample`` may run concurrently from two threads
+      on different inputs (tta and hybrid draw samples on helper
+      threads), so neither may write into the localizer itself.
     """
 
     def prepare(self, v: Volume3) -> Any: ...

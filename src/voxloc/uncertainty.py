@@ -27,11 +27,27 @@ box can reach. A dense heatmap, or one whose support touches a face of
 the crop, gets the whole grid and runs the full passes; an all-zero one
 adds nothing and scans the grid for its argmax. The outputs are the
 same bits as the full passes give.
+
+tta and hybrid draw their samples on the calling thread plus one helper
+thread per further core the process may use, as a sample's warps,
+intensity inverse and detection run in C with the GIL released. Each
+sample depends only on its seed, and the samples are consumed in index
+order, so the sums, positions, MAD, final target and the index of a
+reported failure do not depend on how many threads drew them. mcdo
+stays on the calling thread: its samples are short Python work on one
+prepared state. A ``multiprocessing`` child (a ``cmd_run --workers N``
+case worker) also draws alone, since its sibling workers hold the
+cores. The helper costs about 11 MiB of peak RSS (its malloc arena)
+and a finished sample or two in flight; with ``ConvNetLocalizer`` a
+hybrid run holds two samples' activations at once.
 """
 
 from __future__ import annotations
 
+import multiprocessing
 import operator
+import os
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
 
@@ -165,20 +181,54 @@ def mad(positions) -> float:
     return float(np.linalg.norm(pts - centroid, axis=1).mean())
 
 
-def _aggregate(cfg: McConfig, sample_fn: Callable[[int], Volume3]) -> UncertaintySummary:
+def _sample_threads(n_samples: int) -> int:
+    """Threads that draw augmented samples: the calling one plus one helper per further core.
+
+    A ``multiprocessing`` child (a ``cmd_run --workers N`` case worker)
+    draws alone, since its siblings already hold the cores.
+    """
+    if multiprocessing.parent_process() is not None:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity masks
+        cpus = os.cpu_count() or 1
+    return min(n_samples, cpus)
+
+
+def _draw(sample_fn: Callable[[int], Volume3], i: int) -> Volume3:
+    try:
+        return sample_fn(i)
+    except Exception as exc:  # noqa: BLE001 - re-raised with the index
+        raise SamplingError(i, str(exc)) from exc
+
+
+def _aggregate(cfg: McConfig, sample_fn: Callable[[int], Volume3], threads: int = 1) -> UncertaintySummary:
+    # Sample i is drawn by a helper thread when i % threads != 0, else by
+    # this thread, and samples are consumed in index order, so the sums,
+    # positions and the reported failure are those of a serial loop. Helpers
+    # run at most two rounds ahead, which bounds the finished samples held.
     acc = _Accumulator()
     kept = [] if cfg.keep_samples else None
     positions = np.empty((cfg.n_samples, 3), dtype=np.float64)
-    for i in range(cfg.n_samples):
-        try:
-            sample = sample_fn(i)
-        except Exception as exc:  # noqa: BLE001 - re-raised with the index
-            raise SamplingError(i, str(exc)) from exc
-        box = support_box(sample.data)
-        acc.add(sample, box)
-        positions[i] = _argmax_in_box(sample, box).as_array
-        if kept is not None:
-            kept.append(sample)
+    pool = ThreadPoolExecutor(threads - 1, thread_name_prefix="voxloc-sample") if threads > 1 else None
+    pending: dict[int, Future] = {}
+    submitted = 0
+    try:
+        for i in range(cfg.n_samples):
+            while pool is not None and submitted < min(cfg.n_samples, i + 2 * threads):
+                if submitted % threads:
+                    pending[submitted] = pool.submit(_draw, sample_fn, submitted)
+                submitted += 1
+            sample = pending.pop(i).result() if i in pending else _draw(sample_fn, i)
+            box = support_box(sample.data)
+            acc.add(sample, box)
+            positions[i] = _argmax_in_box(sample, box).as_array
+            if kept is not None:
+                kept.append(sample)
+    finally:
+        if pool is not None:
+            pool.shutdown(wait=True, cancel_futures=True)
     mean_map, variance_map = acc.finalize()
     centroid = positions.mean(axis=0)
     return UncertaintySummary(
@@ -210,7 +260,11 @@ def run_mode(loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:
     """Sample and aggregate with the switches of cfg.mode."""
     augment, stochastic = _SWITCHES[cfg.mode]
     if augment:
-        return _aggregate(cfg, lambda i: _augmented_sample(loc, v, cfg.base_seed + i, cfg.priors, stochastic))
+        return _aggregate(
+            cfg,
+            lambda i: _augmented_sample(loc, v, cfg.base_seed + i, cfg.priors, stochastic),
+            _sample_threads(cfg.n_samples),
+        )
     # every sample sees the same input: prepare it once
     try:
         state = loc.prepare(v)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -115,6 +116,15 @@ class TestGaussianHeatmap:
     def test_zero_cutoff_full_support(self):
         h = gaussian_heatmap(HeatmapSpec(cutoff=0.0), TargetPoint((4, 4, 4)), (9, 9, 9), (1, 1, 1))
         assert np.all(h.data > 0.0)
+
+    def test_sigma_near_floor_saturates_without_warning(self):
+        # 2 sigma^2 is about 2.4e-308, so every off-centre quotient passes the float maximum
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            h = gaussian_heatmap(HeatmapSpec(sigma_mm=1.1e-154, cutoff=0.0), TargetPoint((5, 5, 5)), (10, 10, 10), (2, 2, 2))
+        expected = np.zeros((10, 10, 10))
+        expected[5, 5, 5] = 1.0
+        assert h.data.tobytes() == expected.tobytes()
 
 
 class TestArgmaxPosition:

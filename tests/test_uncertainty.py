@@ -1,6 +1,9 @@
 """Tests for the sampling-based uncertainty machinery."""
 
+import concurrent.futures
 import math
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+from voxloc import uncertainty
 from voxloc.heatmap import HeatmapSpec, TargetPoint, argmax_position, gaussian_heatmap
 from voxloc.predictors import (
     ConvNetLocalizer,
@@ -25,10 +29,8 @@ from voxloc.transforms import (
     sample_transform,
 )
 from voxloc.uncertainty import (
-    BoxplotStats,
     McConfig,
     SamplingError,
-    UncertaintySummary,
     mad,
     mean_variance,
     rejection_stats,
@@ -411,6 +413,161 @@ class TestRunMode:
             run_mode(Unpreparable(), blank((8, 8, 8)), McConfig(mode="mcdo", n_samples=3))
         assert info.value.index == 0
         assert isinstance(info.value.__cause__, RuntimeError)
+
+
+class ThreadRecordingLocalizer:
+    """Wraps a localizer, records which thread drew each seed and fails on chosen seeds."""
+
+    def __init__(self, inner, fail_seeds=()):
+        self.inner = inner
+        self.fail_seeds = set(fail_seeds)
+        self.thread_of_seed = {}
+
+    def prepare(self, v):
+        return self.inner.prepare(v)
+
+    def sample(self, state, stochastic=False, seed=0):
+        self.thread_of_seed[seed] = threading.get_ident()
+        if seed in self.fail_seeds:
+            raise RuntimeError(f"seed {seed} fails")
+        return self.inner.sample(state, stochastic, seed)
+
+
+def _summary_bytes(s):
+    kept = [h.data.tobytes() for h in s.sample_heatmaps]
+    return kept, s.argmax_positions.tobytes(), s.mean_map.data.tobytes(), s.variance_map.data.tobytes(), s.mad, s.final_target
+
+
+def _threads_in_worker(mode):
+    """Run in a process-pool worker: the sampler's thread budget and the threads that drew samples."""
+    loc = ThreadRecordingLocalizer(MarkerLocalizer(OracleLocalizerConfig(jitter_std=0.5)))
+    run_mode(loc, bump((22.0, 25.0, 24.0)), McConfig(mode=mode, n_samples=5, priors=SMALL_PRIORS, keep_samples=False))
+    return uncertainty._sample_threads(5), len(set(loc.thread_of_seed.values()))
+
+
+SMALL_PRIORS = TransformPriors(s_range=(-2, 2), r_range=(-6, 6), curve_control_range=(0.3, 0.7))
+
+
+class TestSamplePool:
+    """tta and hybrid draw samples on helper threads; outputs and failures match a serial loop."""
+
+    @pytest.fixture
+    def serial(self, monkeypatch):
+        def run(loc, v, cfg):
+            with monkeypatch.context() as m:
+                m.setattr(uncertainty, "_sample_threads", lambda n: 1)
+                return run_mode(loc, v, cfg)
+
+        return run
+
+    @pytest.mark.parametrize("threads", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 5])
+    @pytest.mark.parametrize("mode", ["tta", "hybrid"])
+    def test_helpers_match_serial_bits(self, monkeypatch, serial, mode, n, threads):
+        loc = ThreadRecordingLocalizer(MarkerLocalizer(OracleLocalizerConfig(jitter_std=1.5, failure_rate=0.2)))
+        v = bump((22.0, 25.0, 24.0))
+        cfg = McConfig(mode=mode, n_samples=n, base_seed=90)
+        reference = serial(loc, v, cfg)
+        monkeypatch.setattr(uncertainty, "_sample_threads", lambda n_samples: min(n_samples, threads))
+        got = run_mode(loc, v, cfg)
+        assert _summary_bytes(got) == _summary_bytes(reference)
+        main = threading.get_ident()
+        helper_drawn = {i for i in range(n) if loc.thread_of_seed[cfg.base_seed + i] != main}
+        assert helper_drawn == {i for i in range(n) if i % min(n, threads)}
+
+    def test_stress_more_threads_than_cores(self, monkeypatch, serial):
+        loc = MarkerLocalizer(OracleLocalizerConfig(jitter_std=1.0, failure_rate=0.3))
+        v = bump((22.0, 25.0, 24.0))
+        cfg = McConfig(mode="hybrid", n_samples=13, priors=SMALL_PRIORS, base_seed=50)
+        reference = serial(loc, v, cfg)
+        monkeypatch.setattr(uncertainty, "_sample_threads", lambda n: 6)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            got = run_mode(loc, v, cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        assert _summary_bytes(got) == _summary_bytes(reference)
+
+    @pytest.mark.parametrize("fail_at, first", [((2, 3), 2), ((3, 4), 3), ((1, 2), 1), ((4,), 4)])
+    @pytest.mark.parametrize("mode", ["tta", "hybrid"])
+    def test_lowest_failing_index_is_reported(self, monkeypatch, serial, mode, fail_at, first):
+        # with two threads the main thread draws even indices and the helper odd ones
+        cfg = McConfig(mode=mode, n_samples=6, priors=SMALL_PRIORS, base_seed=20)
+        inner = MarkerLocalizer(OracleLocalizerConfig(jitter_std=0.5))
+        fail_seeds = [cfg.base_seed + i for i in fail_at]
+        with pytest.raises(SamplingError) as want:
+            serial(ThreadRecordingLocalizer(inner, fail_seeds), bump((22.0, 25.0, 24.0)), cfg)
+        monkeypatch.setattr(uncertainty, "_sample_threads", lambda n: 2)
+        loc = ThreadRecordingLocalizer(inner, fail_seeds)
+        with pytest.raises(SamplingError) as got:
+            run_mode(loc, bump((22.0, 25.0, 24.0)), cfg)
+        assert got.value.index == want.value.index == first
+        assert str(got.value) == str(want.value)
+        assert isinstance(got.value.__cause__, RuntimeError)
+        drawn_by_main = loc.thread_of_seed[cfg.base_seed + first] == threading.get_ident()
+        assert drawn_by_main == (first % 2 == 0)
+
+    @pytest.mark.parametrize("fail_seeds", [(), (31,), (32,)], ids=["ok", "helper-fails", "main-fails"])
+    def test_no_thread_outlives_the_call(self, monkeypatch, fail_seeds):
+        monkeypatch.setattr(uncertainty, "_sample_threads", lambda n: min(n, 3))
+        loc = ThreadRecordingLocalizer(MarkerLocalizer(OracleLocalizerConfig()), fail_seeds)
+        cfg = McConfig(mode="tta", n_samples=8, priors=SMALL_PRIORS, base_seed=29)
+        before = threading.active_count()
+        try:
+            run_mode(loc, bump((22.0, 25.0, 24.0)), cfg)
+        except SamplingError as err:
+            assert fail_seeds and err.index == fail_seeds[0] - cfg.base_seed
+        else:
+            assert not fail_seeds
+        assert threading.active_count() == before
+        assert len(set(loc.thread_of_seed.values())) > 1
+
+    def test_mcdo_stays_on_the_calling_thread(self, monkeypatch):
+        monkeypatch.setattr(uncertainty, "_sample_threads", lambda n: min(n, 3))
+        loc = ThreadRecordingLocalizer(MarkerLocalizer(OracleLocalizerConfig(jitter_std=1.0)))
+        run_mode(loc, bump((22.0, 25.0, 24.0)), McConfig(mode="mcdo", n_samples=6))
+        assert set(loc.thread_of_seed.values()) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("mode", ["tta", "hybrid"])
+    def test_process_pool_worker_draws_alone(self, mode):
+        with concurrent.futures.ProcessPoolExecutor(max_workers=1) as pool:
+            assert pool.submit(_threads_in_worker, mode).result(timeout=120) == (1, 1)
+
+
+class TestThreadContract:
+    """Localizer.prepare and sample may run on two threads at once on different inputs."""
+
+    @pytest.mark.parametrize(
+        "loc, inputs",
+        [
+            (
+                MarkerLocalizer(OracleLocalizerConfig(jitter_std=1.0, failure_rate=0.3)),
+                [bump((20.0, 25.0, 24.0)), bump((27.0, 21.0, 23.5))],
+            ),
+            (
+                ConvNetLocalizer.from_seed(ConvNetSpec(channels=(4, 4, 1)), seed=3),
+                [smooth_unit((12, 12, 12), radius=5.0), smooth_unit((12, 12, 12), radius=4.0, amplitude=0.6)],
+            ),
+        ],
+        ids=["marker", "convnet"],
+    )
+    def test_two_threads_give_serial_bits(self, loc, inputs):
+        seeds = range(6)
+
+        def draw(v):
+            return [loc.sample(loc.prepare(v), stochastic, seed).data.tobytes() for seed in seeds for stochastic in (False, True)]
+
+        serial = [draw(v) for v in inputs]
+        start = threading.Barrier(len(inputs), timeout=60)
+
+        def worker(v):
+            start.wait()
+            return draw(v)
+
+        with concurrent.futures.ThreadPoolExecutor(len(inputs)) as pool:
+            concurrent_out = list(pool.map(worker, inputs, timeout=120))
+        assert concurrent_out == serial
 
 
 class TestSummary:
