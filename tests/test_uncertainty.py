@@ -415,6 +415,9 @@ class TestRunMode:
         assert isinstance(info.value.__cause__, RuntimeError)
 
 
+SMALL_PRIORS = TransformPriors(s_range=(-2, 2), r_range=(-6, 6), curve_control_range=(0.3, 0.7))
+
+
 class ThreadRecordingLocalizer:
     """Wraps a localizer, records which thread drew each seed and fails on chosen seeds."""
 
@@ -443,9 +446,6 @@ def _threads_in_worker(mode):
     loc = ThreadRecordingLocalizer(MarkerLocalizer(OracleLocalizerConfig(jitter_std=0.5)))
     run_mode(loc, bump((22.0, 25.0, 24.0)), McConfig(mode=mode, n_samples=5, priors=SMALL_PRIORS, keep_samples=False))
     return uncertainty._sample_threads(5), len(set(loc.thread_of_seed.values()))
-
-
-SMALL_PRIORS = TransformPriors(s_range=(-2, 2), r_range=(-6, 6), curve_control_range=(0.3, 0.7))
 
 
 class TestSamplePool:
