@@ -189,10 +189,8 @@ def load_config(path: str | Path | None = None, **overrides) -> ExperimentConfig
     if path is not None:
         try:
             loaded = json.loads(Path(path).read_text())
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise SchemaError(f"cannot read config {path}: {exc}") from exc
-        except json.JSONDecodeError as exc:
-            raise SchemaError(f"config {path} is not valid JSON: {exc}") from exc
         if not isinstance(loaded, dict):
             raise SchemaError(f"config {path} must hold a JSON object")
         known = set(ExperimentConfig.__dataclass_fields__)
@@ -284,6 +282,14 @@ def _is_point(value) -> bool:
         and len(value) == 3
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in value)
     )
+
+
+def _read_manifest(manifest_path: Path) -> dict:
+    """The parsed manifest; a file that cannot be read or parsed is a SchemaError naming it."""
+    try:
+        return read_manifest(manifest_path)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise SchemaError(f"cannot read manifest {manifest_path}: {exc}") from exc
 
 
 def _check_labels(manifest_path: Path, entry) -> None:
@@ -429,7 +435,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     manifest_path = Path(cfg.cohort_dir) / "manifest.json"
     if not manifest_path.exists():
         raise SchemaError(f"no cohort manifest at {manifest_path}; run generate first")
-    manifest = read_manifest(manifest_path)
+    manifest = _read_manifest(manifest_path)
     entries = manifest.get("cases") if isinstance(manifest, dict) else None
     if not entries or not isinstance(entries, list):
         raise SchemaError(f"manifest {manifest_path} lists no cases")
@@ -490,7 +496,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
 def _read_results(path: Path) -> tuple[dict, list[dict]]:
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise SchemaError(f"cannot read results {path}: {exc}") from exc
     meta = {}
     lines = text.splitlines()
@@ -522,13 +528,11 @@ def _read_results(path: Path) -> tuple[dict, list[dict]]:
 def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: str | Path) -> int:
     results_path = Path(results_path)
     meta, records = _read_results(results_path)
+    manifest = _read_manifest(manifest_path)
     try:
-        manifest = read_manifest(manifest_path)
         entries = manifest["cases"]
         for entry in entries:
             _check_labels(manifest_path, entry)
-    except OSError as exc:
-        raise SchemaError(f"cannot read manifest {manifest_path}: {exc}") from exc
     except (KeyError, TypeError) as exc:
         raise SchemaError(f"manifest {manifest_path} is malformed: {exc}") from exc
     hard_cases = sorted(entry["id"] for entry in entries if entry["hard"])

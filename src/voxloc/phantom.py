@@ -8,6 +8,12 @@ enlarged ventricles) and additive Gaussian noise. Masks are exact
 ellipsoid lattices computed before noise, and targets are transported
 with the displacement, so ground truth stays analytic for every knob
 setting.
+
+Everything a cohort does not vary is a module constant: the voxel
+``SPACING``, the ellipsoids' ``SEMI_AXES_MM`` and ``LATERAL_OFFSET_MM``,
+the ``STRUCTURE_INTENSITY``/``BACKGROUND_INTENSITY`` levels and the
+``EDGE_WIDTH`` of their rolloff, the targets' ``TARGET_OFFSET_FRAC``,
+and the markers' ``MARKER_AMPLITUDE`` and ``MARKER_SIGMA_MM``.
 """
 
 from __future__ import annotations
@@ -41,29 +47,39 @@ class InfeasibleSpecError(Exception):
     """The requested phantom geometry cannot be realized."""
 
 
+SPACING = (1.0, 1.0, 1.0)
+SEMI_AXES_MM = (10.0, 14.0, 11.0)
+# The structure centres sit 2 * (LATERAL_OFFSET_MM + enlargement) >= 32 mm
+# apart along axis 0 and each x semi-axis is 10 mm, so the two ellipsoids
+# are always at least 12 mm apart and can never overlap.
+LATERAL_OFFSET_MM = 16.0
+STRUCTURE_INTENSITY = 0.62
+BACKGROUND_INTENSITY = 0.12
+EDGE_WIDTH = 0.15
+# x fraction is negative so each target (and its marker) sits on the
+# lateral side, keeping the opposite marker out of a 64-voxel crop
+TARGET_OFFSET_FRAC = (-0.2, -0.25, 0.15)
+MARKER_AMPLITUDE = 0.38
+MARKER_SIGMA_MM = 1.2
+
+# the uniform ranges each easy or hard cohort case draws its knobs from
+EASY_ENLARGEMENT_MM = (0.0, 1.0)
+EASY_NOISE_STD = (0.01, 0.02)
+HARD_ENLARGEMENT_MM = (5.0, 6.0)
+HARD_NOISE_STD = (0.06, 0.1)
+
+
 @dataclass(frozen=True)
 class PhantomSpec:
-    """Geometry and corruption knobs for one phantom.
+    """The settings a cohort varies for one phantom; the rest are module constants.
 
     The two structures sit symmetrically about the volume midplane at
-    ``lateral_offset_mm`` (plus ``ventricle_enlargement_mm``) from the
-    center along axis 0. The latent target of each structure lies at a
-    fixed fractional offset of the semi-axes from its center, mirrored
-    in x for the right side.
+    ``LATERAL_OFFSET_MM + ventricle_enlargement_mm`` from the center along
+    axis 0. Each latent target lies ``TARGET_OFFSET_FRAC`` of ``SEMI_AXES_MM``
+    from its structure's center, mirrored in x for the right side.
     """
 
     dims: tuple[int, int, int] = (192, 192, 192)
-    spacing: tuple[float, float, float] = (1.0, 1.0, 1.0)
-    semi_axes_mm: tuple[float, float, float] = (10.0, 14.0, 11.0)
-    lateral_offset_mm: float = 16.0
-    structure_intensity: float = 0.62
-    background_intensity: float = 0.12
-    edge_width: float = 0.15
-    # x fraction is negative so each target (and its marker) sits on the
-    # lateral side, keeping the opposite marker out of a 64-voxel crop
-    target_offset_frac: tuple[float, float, float] = (-0.2, -0.25, 0.15)
-    marker_amplitude: float = 0.38
-    marker_sigma_mm: float = 1.2
     ventricle_enlargement_mm: float = 0.0
     noise_std: float = 0.0
     seed: int = 0
@@ -73,32 +89,14 @@ class PhantomSpec:
         if len(dims) != 3 or any(d < 64 for d in dims):
             # both 64-voxel crops must fit the volume
             raise ValueError(f"dims must be >= 64 per axis, got {dims}")
-        spacing = tuple(float(s) for s in self.spacing)
-        if any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be positive, got {spacing}")
-        if any(a <= 0 for a in self.semi_axes_mm):
-            raise ValueError(f"semi-axes must be positive, got {self.semi_axes_mm}")
-        if self.lateral_offset_mm <= 0:
-            raise ValueError("lateral offset must be positive")
-        if not 0.0 <= self.background_intensity < self.structure_intensity <= 1.0:
-            raise ValueError("need 0 <= background < structure intensity <= 1")
-        if not 0.0 < self.edge_width < 1.0:
-            raise ValueError(f"edge width must lie in (0,1), got {self.edge_width}")
-        if any(abs(f) >= 0.9 for f in self.target_offset_frac):
-            raise ValueError("target offset fractions must keep the target inside the mask")
-        if self.marker_amplitude < 0 or self.marker_sigma_mm <= 0:
-            raise ValueError("marker amplitude must be >= 0 with positive sigma")
         if self.ventricle_enlargement_mm < 0 or self.noise_std < 0:
             raise ValueError("corruption knobs must be >= 0")
         object.__setattr__(self, "dims", dims)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "semi_axes_mm", tuple(float(a) for a in self.semi_axes_mm))
-        object.__setattr__(self, "target_offset_frac", tuple(float(f) for f in self.target_offset_frac))
 
     def structure_centers_mm(self) -> tuple[np.ndarray, np.ndarray]:
         """Left and right structure centers in mm, displacement applied."""
-        mid = (np.asarray(self.dims, dtype=np.float64) - 1.0) * np.asarray(self.spacing) / 2.0
-        shift = self.lateral_offset_mm + self.ventricle_enlargement_mm
+        mid = (np.asarray(self.dims, dtype=np.float64) - 1.0) * np.asarray(SPACING) / 2.0
+        shift = LATERAL_OFFSET_MM + self.ventricle_enlargement_mm
         left = mid - np.array([shift, 0.0, 0.0])
         right = mid + np.array([shift, 0.0, 0.0])
         return left, right
@@ -106,12 +104,12 @@ class PhantomSpec:
     def target_positions(self) -> tuple[TargetPoint, TargetPoint]:
         """Latent targets in voxel coordinates, transported with the centers."""
         left_c, right_c = self.structure_centers_mm()
-        frac = np.asarray(self.target_offset_frac)
-        axes = np.asarray(self.semi_axes_mm)
+        frac = np.asarray(TARGET_OFFSET_FRAC)
+        axes = np.asarray(SEMI_AXES_MM)
         mirror = np.array([-1.0, 1.0, 1.0])
         left_mm = left_c + frac * axes
         right_mm = right_c + frac * axes * mirror
-        sp = np.asarray(self.spacing)
+        sp = np.asarray(SPACING)
         return (
             TargetPoint(tuple(left_mm / sp), side="left"),
             TargetPoint(tuple(right_mm / sp), side="right"),
@@ -141,8 +139,8 @@ def _rho_squared(spec: PhantomSpec, center_mm: np.ndarray) -> np.ndarray:
     # separable normalized ellipsoid radius, built by broadcast
     parts = []
     for axis in range(3):
-        coords = np.arange(spec.dims[axis], dtype=np.float64) * spec.spacing[axis]
-        parts.append(((coords - center_mm[axis]) / spec.semi_axes_mm[axis]) ** 2)
+        coords = np.arange(spec.dims[axis], dtype=np.float64) * SPACING[axis]
+        parts.append(((coords - center_mm[axis]) / SEMI_AXES_MM[axis]) ** 2)
     return (
         parts[0][:, None, None] + parts[1][None, :, None] + parts[2][None, None, :]
     )
@@ -169,37 +167,36 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
     right_mask = rho2_right <= 1.0
     if not left_mask.any() or not right_mask.any():
         raise InfeasibleSpecError("a structure lies outside the volume")
-    if (left_mask & right_mask).any():
-        raise InfeasibleSpecError("structures overlap; reduce size or displacement")
-
-    amplitude = spec.structure_intensity - spec.background_intensity
-    profile = np.maximum(
-        _edge_profile(rho2_left, spec.edge_width),
-        _edge_profile(rho2_right, spec.edge_width),
-    )
-    img = spec.background_intensity + amplitude * profile
 
     truth_left, truth_right = spec.target_positions()
-    marker = HeatmapSpec(sigma_mm=spec.marker_sigma_mm, cutoff=0.004, peak=1.0)
+    for truth, mask in ((truth_left, left_mask), (truth_right, right_mask)):
+        idx = tuple(int(round(p)) for p in truth.position)
+        # bounds first: a negative index would silently wrap around the grid
+        if not all(0 <= i < d for i, d in zip(idx, spec.dims)) or not mask[idx]:
+            raise InfeasibleSpecError(f"target {truth.position} fell outside its mask")
+
+    amplitude = STRUCTURE_INTENSITY - BACKGROUND_INTENSITY
+    profile = np.maximum(
+        _edge_profile(rho2_left, EDGE_WIDTH),
+        _edge_profile(rho2_right, EDGE_WIDTH),
+    )
+    img = BACKGROUND_INTENSITY + amplitude * profile
+
+    marker = HeatmapSpec(sigma_mm=MARKER_SIGMA_MM, cutoff=0.004, peak=1.0)
     for truth in (truth_left, truth_right):
-        bump = gaussian_heatmap(marker, TargetPoint(truth.position), spec.dims, spec.spacing)
-        img += spec.marker_amplitude * bump.data
+        bump = gaussian_heatmap(marker, TargetPoint(truth.position), spec.dims, SPACING)
+        img += MARKER_AMPLITUDE * bump.data
 
     if spec.noise_std > 0:
         img += np.random.default_rng(spec.seed).normal(0.0, spec.noise_std, spec.dims)
 
-    image = rescale_intensity(Volume3(img, spec.spacing))
-    image = Volume3(image.data.astype(np.float32), spec.spacing)
-
-    for truth, mask in ((truth_left, left_mask), (truth_right, right_mask)):
-        idx = tuple(int(round(p)) for p in truth.position)
-        if not mask[idx]:
-            raise InfeasibleSpecError(f"target {truth.position} fell outside its mask")
+    image = rescale_intensity(Volume3(img, SPACING))
+    image = Volume3(image.data.astype(np.float32), SPACING)
 
     return PhantomCase(
         image=image,
-        left_mask=Volume3(left_mask.astype(np.float32), spec.spacing),
-        right_mask=Volume3(right_mask.astype(np.float32), spec.spacing),
+        left_mask=Volume3(left_mask.astype(np.float32), SPACING),
+        right_mask=Volume3(right_mask.astype(np.float32), SPACING),
         truth_left=truth_left,
         truth_right=truth_right,
         spec=spec,
@@ -215,12 +212,6 @@ class CohortEntry(NamedTuple):
     case_id: int
     case: PhantomCase
     hard: bool
-
-
-EASY_ENLARGEMENT_MM = (0.0, 1.0)
-EASY_NOISE_STD = (0.01, 0.02)
-HARD_ENLARGEMENT_MM = (5.0, 6.0)
-HARD_NOISE_STD = (0.06, 0.1)
 
 
 def hard_case_ids(n: int, n_hard: int, seed: int) -> tuple[int, ...]:

@@ -547,6 +547,27 @@ class TestCli:
         assert field in lines[0]
         assert not out.exists()
 
+    @pytest.mark.parametrize("bad_file", ["cfg.json", "run/manifest.json", "manifest.json", "results.csv"])
+    def test_undecodable_input_is_one_line_io_error(self, tmp_path, capsys, bad_file):
+        write_manifest_fixture(tmp_path / "manifest.json", 4, set())
+        write_results_fixture(tmp_path / "results.csv", {i: 1.0 for i in range(4)})
+        (tmp_path / "cfg.json").write_text("{}")
+        (tmp_path / "run").mkdir()
+        bad = tmp_path / bad_file
+        bad.write_bytes(b'{"cases": \xff\xfe}\n' if bad.suffix == ".json" else b"case_id\n\xff\xfe\n")
+        out = tmp_path / "r"
+        if bad_file.startswith("run/"):
+            argv = ["run", "--cohort", str(bad.parent), "--out", str(out)]
+        else:
+            argv = ["analyze", "--results", str(tmp_path / "results.csv"), "--cohort", str(tmp_path), "--out", str(out)]
+        assert main([*argv, "--config", str(tmp_path / "cfg.json")]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert str(bad) in lines[0]
+        assert not out.exists()
+
     @pytest.mark.parametrize("defect", ["f16-dtype", "layout-mismatch"])
     def test_malformed_weight_file_is_one_line_io_error(self, cohort_dir, tmp_path, capsys, defect):
         weights = tmp_path / "weights.json"

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from voxloc.phantom import (
+    SEMI_AXES_MM,
+    SPACING,
     InfeasibleSpecError,
     PhantomSpec,
     cohort_case_spec,
@@ -23,7 +25,7 @@ SMALL = PhantomSpec(dims=(96, 96, 96))
 
 def ellipsoid_lattice(spec, center_mm, semi_axes):
     grids = np.meshgrid(
-        *(np.arange(d, dtype=np.float64) * s for d, s in zip(spec.dims, spec.spacing)),
+        *(np.arange(d, dtype=np.float64) * s for d, s in zip(spec.dims, SPACING)),
         indexing="ij",
     )
     rho2 = sum(((g - c) / a) ** 2 for g, c, a in zip(grids, center_mm, semi_axes))
@@ -39,10 +41,10 @@ class TestGeneratePhantom:
 
         left_c, right_c = SMALL.structure_centers_mm()
         np.testing.assert_array_equal(
-            case.left_mask.data > 0.5, ellipsoid_lattice(SMALL, left_c, SMALL.semi_axes_mm)
+            case.left_mask.data > 0.5, ellipsoid_lattice(SMALL, left_c, SEMI_AXES_MM)
         )
         np.testing.assert_array_equal(
-            case.right_mask.data > 0.5, ellipsoid_lattice(SMALL, right_c, SMALL.semi_axes_mm)
+            case.right_mask.data > 0.5, ellipsoid_lattice(SMALL, right_c, SEMI_AXES_MM)
         )
 
     def test_targets_at_analytic_positions(self):
@@ -100,21 +102,20 @@ class TestGeneratePhantom:
         assert case.image.data.min() == pytest.approx(0.0)
         assert case.image.data.max() == pytest.approx(1.0)
 
-    def test_overlapping_structures_rejected(self):
-        with pytest.raises(InfeasibleSpecError, match="overlap"):
-            generate_phantom(PhantomSpec(dims=(96, 96, 96), lateral_offset_mm=5.0))
-
     def test_structure_outside_volume_rejected(self):
         with pytest.raises(InfeasibleSpecError, match="outside"):
-            generate_phantom(PhantomSpec(dims=(64, 64, 64), lateral_offset_mm=200.0))
+            generate_phantom(PhantomSpec(dims=(64, 64, 64), ventricle_enlargement_mm=200.0))
+
+    # at 14 mm the right target rounds to x = 64, one past the grid; at 15 mm the
+    # left one rounds to x = -2, which plain indexing would wrap to x = 62
+    @pytest.mark.parametrize("enlargement", [14.0, 15.0])
+    def test_target_off_the_grid_rejected(self, enlargement):
+        with pytest.raises(InfeasibleSpecError, match="target"):
+            generate_phantom(PhantomSpec(dims=(64, 64, 64), ventricle_enlargement_mm=enlargement))
 
     def test_spec_validation(self):
         with pytest.raises(ValueError, match="dims"):
             PhantomSpec(dims=(32, 96, 96))
-        with pytest.raises(ValueError, match="intensity"):
-            PhantomSpec(background_intensity=0.7, structure_intensity=0.6)
-        with pytest.raises(ValueError, match="inside"):
-            PhantomSpec(target_offset_frac=(0.95, 0.0, 0.0))
         with pytest.raises(ValueError, match=">= 0"):
             PhantomSpec(noise_std=-0.1)
 
