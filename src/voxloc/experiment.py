@@ -8,6 +8,11 @@ side, mode), rows are sorted before writing, and per-row runtimes are
 kept out of results.csv (they live in timings.csv and the per-case JSON)
 so repeated runs produce byte-identical result files.
 
+run and analyze read the manifest through one reader and share one
+record shape: a results.csv row as written, its cells the six-decimal
+strings of the file. Both fence those written mad values, so analyze on
+a run's results.csv flags exactly the rows that run flagged.
+
 results.csv column order (the stability contract):
     case_id, side, mode, status,
     pred_x, pred_y, pred_z, truth_x, truth_y, truth_z,
@@ -31,7 +36,7 @@ from pathlib import Path
 import numpy as np
 
 from voxloc.heatmap import HeatmapSpec
-from voxloc.phantom import PhantomSpec, derive_seed, load_case_volumes, read_manifest, write_cohort
+from voxloc.phantom import PhantomSpec, derive_seed, load_case_volumes, write_cohort
 from voxloc.pipeline import SIDES, PipelineConfig, run_pipeline
 from voxloc.predictors import (
     ConvNetLocalizer,
@@ -261,19 +266,15 @@ def _build_localizers(cfg: ExperimentConfig) -> dict[bool, Localizer]:
 
 def _row(case_id: int, side: str, mode: str, truth: list, pred=None, error_mm=None, mad=None,
          runtime_ms: float = 0.0) -> dict:
-    """One results row; a row without a prediction has failed."""
-    return {
-        "case_id": case_id,
-        "side": side,
-        "mode": mode,
-        "status": "failed" if pred is None else "ok",
-        "pred": None if pred is None else [float(p) for p in pred],
-        "truth": truth,
-        "error_mm": error_mm,
-        "mad": mad,
-        "flagged": None,
-        "runtime_ms": runtime_ms,
-    }
+    """One results.csv record, its cells as written; a row without a prediction has failed.
+
+    ``case_id`` stays an int for sorting and ``runtime_ms`` rides along
+    for timings.csv. ``flagged`` is filled in by ``_apply_flags``.
+    """
+    cells = ["failed" if pred is None else "ok", *(pred if pred is not None else (None,) * 3), *truth,
+             error_mm, mad, None]
+    row = dict(zip(RESULT_COLUMNS[3:], map(_fmt, cells)))
+    return {"case_id": case_id, "side": side, "mode": mode, **row, "runtime_ms": runtime_ms}
 
 
 def _is_point(value) -> bool:
@@ -284,35 +285,28 @@ def _is_point(value) -> bool:
     )
 
 
-def _read_manifest(manifest_path: Path) -> dict:
-    """The parsed manifest; a file that cannot be read or parsed is a SchemaError naming it."""
+def _manifest_entries(manifest_path: str | Path) -> list[dict]:
+    """A manifest's case entries, each with an integer 'id' and a boolean 'hard'.
+
+    A file that cannot be read or parsed, lists no cases or holds a bad
+    entry is a SchemaError naming it.
+    """
     try:
-        return read_manifest(manifest_path)
+        manifest = json.loads(Path(manifest_path).read_text())
     except (OSError, UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise SchemaError(f"cannot read manifest {manifest_path}: {exc}") from exc
-
-
-def _check_labels(manifest_path: Path, entry) -> None:
-    """Check a manifest entry's integer 'id' and boolean 'hard', which both run and analyze read."""
-    if not isinstance(entry, dict):
-        raise SchemaError(f"manifest {manifest_path} has a case entry that is not an object: {entry!r}")
-    case_id = entry.get("id")
-    if not isinstance(case_id, int) or isinstance(case_id, bool):
-        raise SchemaError(f"manifest {manifest_path} has a case entry without an integer 'id'")
-    if not isinstance(entry.get("hard"), bool):
-        raise SchemaError(f"manifest {manifest_path} case {case_id} has no boolean 'hard'")
-
-
-def _check_entry(manifest_path: Path, entry) -> None:
-    """Check the fields of a manifest entry that run reads outside the per-case failure handling."""
-    _check_labels(manifest_path, entry)
-    case_id = entry["id"]
-    truths = entry.get("truth_targets")
-    if not isinstance(truths, dict) or not all(_is_point(truths.get(side)) for side in SIDES):
-        raise SchemaError(
-            f"manifest {manifest_path} case {case_id} needs 'truth_targets' with three finite numbers "
-            f"for each of {SIDES}"
-        )
+    entries = manifest.get("cases") if isinstance(manifest, dict) else None
+    if not entries or not isinstance(entries, list):
+        raise SchemaError(f"manifest {manifest_path} lists no cases")
+    for entry in entries:
+        if not isinstance(entry, dict):
+            raise SchemaError(f"manifest {manifest_path} has a case entry that is not an object: {entry!r}")
+        case_id = entry.get("id")
+        if not isinstance(case_id, int) or isinstance(case_id, bool):
+            raise SchemaError(f"manifest {manifest_path} has a case entry without an integer 'id'")
+        if not isinstance(entry.get("hard"), bool):
+            raise SchemaError(f"manifest {manifest_path} case {case_id} has no boolean 'hard'")
+    return entries
 
 
 def _case_task(args: tuple[ExperimentConfig, str, dict, Localizer]) -> tuple[list[dict], dict]:
@@ -370,10 +364,9 @@ def _case_task(args: tuple[ExperimentConfig, str, dict, Localizer]) -> tuple[lis
                 rows.append(_row(case_id, side, mode, truth, runtime_ms=(time.perf_counter() - t0) * 1e3))
                 case_json.setdefault("mode_errors", {})[f"{side}/{mode}"] = str(exc)
                 continue
-            row = _row(case_id, side, mode, truth, pred, error_mm, mad_val, (time.perf_counter() - t0) * 1e3)
-            rows.append(row)
+            rows.append(_row(case_id, side, mode, truth, pred, error_mm, mad_val, (time.perf_counter() - t0) * 1e3))
             case_json["modes"].setdefault(mode, {})[side] = {
-                "pred": row["pred"],
+                "pred": [float(p) for p in pred],
                 "error_mm": error_mm,
                 "mad": mad_val,
             }
@@ -383,15 +376,17 @@ def _case_task(args: tuple[ExperimentConfig, str, dict, Localizer]) -> tuple[lis
 def _fence(rows: list[dict], mode: str) -> tuple[list[dict], list[float], BoxplotStats | None]:
     """One mode's scored rows, their dispersion scores and the Tukey fence over them.
 
-    Rows come from a run (``mad`` a float or None) or from a results.csv
-    (``mad`` a string, empty when unscored). The fence needs at least 4
-    scores; with fewer it is None.
+    Rows are results.csv records: the fence reads each ``mad`` as written,
+    so analyze on that file reproduces run's flags. The fence needs at
+    least 4 scores; with fewer it is None.
     """
-    scored = [r for r in rows if r["mode"] == mode and r["status"] == "ok" and r["mad"] not in (None, "")]
+    scored = [r for r in rows if r["mode"] == mode and r["status"] == "ok" and r["mad"] != ""]
     try:
         mads = [float(r["mad"]) for r in scored]
     except ValueError as exc:
         raise SchemaError(f"mode {mode} has a non-numeric mad: {exc}") from exc
+    if not all(map(math.isfinite, mads)):
+        raise SchemaError(f"mode {mode} has a non-finite mad")
     if len(scored) < 4:
         log.warning("mode %s has %d scored rows; need 4 to flag", mode, len(scored))
         return scored, mads, None
@@ -408,7 +403,7 @@ def _apply_flags(rows: list[dict], modes) -> None:
             continue
         flagged = set(stats.flagged)
         for pos, row in enumerate(scored):
-            row["flagged"] = pos in flagged
+            row["flagged"] = _fmt(pos in flagged)
 
 
 def _fmt(value) -> str:
@@ -435,12 +430,14 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     manifest_path = Path(cfg.cohort_dir) / "manifest.json"
     if not manifest_path.exists():
         raise SchemaError(f"no cohort manifest at {manifest_path}; run generate first")
-    manifest = _read_manifest(manifest_path)
-    entries = manifest.get("cases") if isinstance(manifest, dict) else None
-    if not entries or not isinstance(entries, list):
-        raise SchemaError(f"manifest {manifest_path} lists no cases")
+    entries = _manifest_entries(manifest_path)
     for entry in entries:
-        _check_entry(manifest_path, entry)
+        truths = entry.get("truth_targets")
+        if not isinstance(truths, dict) or not all(_is_point(truths.get(side)) for side in SIDES):
+            raise SchemaError(
+                f"manifest {manifest_path} case {entry['id']} needs 'truth_targets' with three finite numbers "
+                f"for each of {SIDES}"
+            )
 
     localizers = _build_localizers(cfg)
     tasks = [(cfg, str(manifest_path), entry, localizers[entry["hard"]]) for entry in entries]
@@ -459,16 +456,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     digest = config_hash(cfg)
     comment = f"# config_hash={digest} seed={cfg.seed}"
-    _write_csv(
-        out_dir / "results.csv",
-        comment,
-        RESULT_COLUMNS,
-        (
-            [r["case_id"], r["side"], r["mode"], r["status"], *(r["pred"] or (None,) * 3), *r["truth"],
-             r["error_mm"], r["mad"], r["flagged"]]
-            for r in rows
-        ),
-    )
+    _write_csv(out_dir / "results.csv", comment, RESULT_COLUMNS, ([r[c] for c in RESULT_COLUMNS] for r in rows))
     _write_csv(
         out_dir / "timings.csv",
         comment,
@@ -513,12 +501,16 @@ def _read_results(path: Path) -> tuple[dict, list[dict]]:
     if reader.fieldnames is None or not set(RESULT_COLUMNS) <= set(reader.fieldnames):
         missing = sorted(set(RESULT_COLUMNS) - set(reader.fieldnames or ()))
         raise SchemaError(f"results file {path} is missing columns {missing}")
-    records = list(reader)
-    for r in records:
+    records = []
+    for r in reader:
+        if None in r or None in r.values():  # DictReader's marks for extra and missing cells
+            width = len(reader.fieldnames)
+            raise SchemaError(f"results file {path} line {body_start + reader.line_num} does not have {width} cells")
         try:
             r["case_id"] = int(r["case_id"])
-        except (TypeError, ValueError):
+        except ValueError:
             raise SchemaError(f"results file {path} has a non-integer case_id {r['case_id']!r}") from None
+        records.append(r)
     unknown = sorted({r["mode"] for r in records} - set(MODE_ORDER))
     if unknown:
         raise SchemaError(f"results file {path} has unknown modes {unknown}; expected {MODE_ORDER}")
@@ -528,14 +520,7 @@ def _read_results(path: Path) -> tuple[dict, list[dict]]:
 def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: str | Path) -> int:
     results_path = Path(results_path)
     meta, records = _read_results(results_path)
-    manifest = _read_manifest(manifest_path)
-    try:
-        entries = manifest["cases"]
-        for entry in entries:
-            _check_labels(manifest_path, entry)
-    except (KeyError, TypeError) as exc:
-        raise SchemaError(f"manifest {manifest_path} is malformed: {exc}") from exc
-    hard_cases = sorted(entry["id"] for entry in entries if entry["hard"])
+    hard_cases = sorted(entry["id"] for entry in _manifest_entries(manifest_path) if entry["hard"])
 
     modes_present = list(dict.fromkeys(r["mode"] for r in records))
     long_rows: list[list] = []
@@ -553,7 +538,7 @@ def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: st
         recall = len(hits) / len(hard_cases) if hard_cases else None
         precision = len(hits) / len(flagged_cases) if flagged_cases else None
         report_modes[mode] = {
-            "stats": stats.to_json(),
+            "stats": asdict(stats),
             "flagged_cases": flagged_cases,
             "recall": recall,
             "precision": precision,

@@ -39,7 +39,6 @@ __all__ = [
     "cohort_case_spec",
     "iter_cohort",
     "write_cohort",
-    "read_manifest",
 ]
 
 
@@ -302,10 +301,6 @@ def write_cohort(
         manifest.update(meta)
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
-
-
-def read_manifest(path: str | Path) -> dict:
-    return json.loads(Path(path).read_text())
 
 
 def load_case_volumes(manifest_path: str | Path, entry: dict) -> tuple[Volume3, Volume3, Volume3]:

@@ -307,18 +307,6 @@ class BoxplotStats:
     upper_whisker: float
     flagged: tuple[int, ...]
 
-    def to_json(self) -> dict:
-        return {
-            "n": self.n,
-            "q1": self.q1,
-            "median": self.median,
-            "q3": self.q3,
-            "iqr": self.iqr,
-            "fence": self.fence,
-            "upper_whisker": self.upper_whisker,
-            "flagged": list(self.flagged),
-        }
-
 
 def rejection_stats(values: Iterable[float]) -> BoxplotStats:
     """Flag values above Q3 + 1.5*IQR (linear-interpolation quantiles)."""

@@ -8,11 +8,13 @@ import csv
 import io
 import json
 import os
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -397,6 +399,59 @@ class TestAnalyze:
         write_manifest_fixture(tmp_path / "manifest.json", 4, set())
         with pytest.raises(SchemaError, match="non-numeric mad"):
             cmd_analyze(tmp_path / "results.csv", tmp_path / "manifest.json", tmp_path)
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400"])
+    def test_non_finite_mad_is_one_line_io_error(self, tmp_path, capsys, cell):
+        results = tmp_path / "results.csv"
+        write_results_fixture(results, {i: 1.0 for i in range(4)})
+        results.write_text(results.read_text().replace(",1.000000,false", f",{cell},false", 1))
+        write_manifest_fixture(tmp_path / "manifest.json", 4, set())
+        out = tmp_path / "r"
+        assert main(["analyze", "--results", str(results), "--cohort", str(tmp_path), "--out", str(out)]) == 4
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ") and "non-finite mad" in lines[0], lines
+        assert not out.exists()
+
+    @pytest.mark.parametrize("defect", ["truncated", "extra-cell"])
+    def test_row_of_wrong_width_is_schema_error(self, tmp_path, defect):
+        results = tmp_path / "results.csv"
+        write_results_fixture(results, {i: 1.0 for i in range(4)})
+        lines = results.read_text().splitlines()
+        lines[3] = "0,left,mcdo,ok" if defect == "truncated" else lines[3] + ",x"
+        results.write_text("\n".join(lines) + "\n")
+        write_manifest_fixture(tmp_path / "manifest.json", 4, set())
+        with pytest.raises(SchemaError, match=f"{re.escape(str(results))} line 4 does not have 13 cells"):
+            cmd_analyze(results, tmp_path / "manifest.json", tmp_path)
+
+    @pytest.mark.parametrize("manifest", [{"cases": []}, {"seed": 5}, []], ids=["empty-list", "no-cases-key", "list"])
+    def test_manifest_without_cases_is_schema_error(self, tmp_path, manifest):
+        write_results_fixture(tmp_path / "results.csv", {i: 1.0 for i in range(4)})
+        (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(SchemaError, match="lists no cases"):
+            cmd_analyze(tmp_path / "results.csv", tmp_path / "manifest.json", tmp_path)
+
+    def test_analyze_reproduces_run_flags(self, tmp_path, monkeypatch):
+        # 1.7500003 clears the fence of these six (1.75) by less than the
+        # half-unit of results.csv's sixth decimal: run and analyze must
+        # both decide on the written 1.750000
+        mads = iter([1.0, 1.1, 1.2, 1.3, 1.4, 1.7500003])
+        monkeypatch.setattr(
+            "voxloc.experiment.run_mode", lambda loc, crop, mc: SimpleNamespace(mean_map=crop, mad=next(mads))
+        )
+        cfg = ExperimentConfig(cohort_dir=str(tmp_path / "cohort"), out_dir=str(tmp_path / "run"), n_cases=3,
+                               dims=(64, 64, 64), modes=("mcdo",), workers=1, seed=4)
+        assert cmd_generate(cfg) == EXIT_OK
+        assert cmd_run(cfg) == EXIT_OK
+        assert list(mads) == []
+        assert cmd_analyze(tmp_path / "run" / "results.csv", tmp_path / "cohort" / "manifest.json",
+                           tmp_path / "analysis") == EXIT_OK
+        _, results = read_rows(tmp_path / "run" / "results.csv")
+        _, long_rows = read_rows(tmp_path / "analysis" / "analysis_long.csv")
+        report = json.loads((tmp_path / "analysis" / "report.json").read_text())
+        run_flags = {(r["case_id"], r["side"]): r["flagged"] for r in results}
+        assert run_flags == {(r["case_id"], r["side"]): r["flagged"] for r in long_rows}
+        flagged_cases = sorted({int(case_id) for (case_id, _), flag in run_flags.items() if flag == "true"})
+        assert report["modes"]["mcdo"]["flagged_cases"] == flagged_cases
 
     def test_unknown_mode_is_schema_error(self, tmp_path):
         write_results_fixture(tmp_path / "results.csv", {i: 1.0 + i for i in range(5)}, mode="foo")

@@ -1,7 +1,9 @@
-"""Every name a voxloc module exports exists."""
+"""Every name a voxloc module exports exists, and every name a module imports is used."""
 
+import ast
 import importlib
 import pkgutil
+from pathlib import Path
 
 import pytest
 
@@ -12,9 +14,39 @@ MODULES = sorted(
     m.name for m in pkgutil.iter_modules(voxloc.__path__, "voxloc.") if m.name != "voxloc.__main__"
 )
 
+TESTS_DIR = Path(__file__).resolve().parent
+# the acceptance criteria are kept byte-for-byte as first written
+FROZEN = {TESTS_DIR / "test_acceptance.py"}
+SOURCES = sorted(
+    path
+    for root in (Path(voxloc.__file__).resolve().parent, TESTS_DIR)
+    for path in root.glob("*.py")
+    if path not in FROZEN
+)
+
 
 @pytest.mark.parametrize("name", ["voxloc", *MODULES])
 def test_all_names_resolve(name):
     module = importlib.import_module(name)
     missing = [attr for attr in module.__all__ if not hasattr(module, attr)]
     assert missing == []
+
+
+def unused_imports(tree: ast.Module) -> list[str]:
+    """Names bound by an import that the module neither reads nor lists in ``__all__``."""
+    imported = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported += [alias.asname or alias.name.split(".")[0] for alias in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            imported += [alias.asname or alias.name for alias in node.names]
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return sorted(set(imported) - used)
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
+def test_every_import_is_used(path):
+    assert unused_imports(ast.parse(path.read_text())) == []

@@ -15,7 +15,6 @@ from voxloc.phantom import (
     hard_case_ids,
     iter_cohort,
     load_case_volumes,
-    read_manifest,
     write_cohort,
 )
 from voxloc.volume import Volume3, downsample_to
@@ -209,7 +208,7 @@ class TestCohortFiles:
     def test_load_case_volumes_roundtrip(self, tmp_path):
         write_cohort(tmp_path / "cohort", 2, seed=12, base_spec=SMALL)
         manifest_path = tmp_path / "cohort" / "manifest.json"
-        manifest = read_manifest(manifest_path)
+        manifest = json.loads(manifest_path.read_text())
         entry = manifest["cases"][1]
         image, left, right = load_case_volumes(manifest_path, entry)
 

@@ -1,9 +1,11 @@
 """Tests for the sampling-based uncertainty machinery."""
 
 import concurrent.futures
+import json
 import math
 import sys
 import threading
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -610,5 +612,6 @@ class TestRejectionStats:
             rejection_stats([1.0, 2.0, 3.0])
 
     def test_json(self):
-        obj = rejection_stats([1.0, 2.0, 3.0, 4.0]).to_json()
+        obj = json.loads(json.dumps(asdict(rejection_stats([1.0, 1.0, 1.0, 1.0, 9.0]))))
         assert set(obj) == {"n", "q1", "median", "q3", "iqr", "fence", "upper_whisker", "flagged"}
+        assert obj["flagged"] == [4]

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from voxloc.volume import (
     Volume3,
@@ -13,6 +15,7 @@ from voxloc.volume import (
     flip_lr,
     read_volume,
     rescale_intensity,
+    support_box,
     write_volume,
 )
 
@@ -228,6 +231,43 @@ class TestCropBox:
     def test_rejects_bad_extent(self):
         with pytest.raises(ValueError):
             VoxelBox((0, 0, 0), (0, 4, 4))
+
+
+class TestSupportBox:
+    def test_all_zero_has_no_box(self):
+        assert support_box(np.zeros((4, 5, 6))) is None
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_counts_as_nonzero(self, value):
+        data = np.zeros((6, 6, 6))
+        data[1, 2, 3] = value
+        assert support_box(data) == (slice(1, 2), slice(2, 3), slice(3, 4))
+
+    def test_single_voxel(self):
+        data = np.zeros((7, 8, 9), dtype=np.float32)
+        data[6, 0, 4] = 0.5
+        assert support_box(data) == (slice(6, 7), slice(0, 1), slice(4, 5))
+
+    def test_nonzero_on_every_face_gives_full_grid(self):
+        data = np.zeros((5, 6, 7))
+        for face in ((0, 3, 3), (-1, 3, 3), (2, 0, 3), (2, -1, 3), (2, 3, 0), (2, 3, -1)):
+            data[face] = 1.0
+        assert support_box(data) == (slice(0, 5), slice(0, 6), slice(0, 7))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        shape=st.tuples(*[st.integers(1, 12)] * 3),
+        points=st.lists(st.tuples(*[st.integers(0, 11)] * 3), max_size=5),
+        value=st.floats(width=32).filter(lambda x: x != 0),
+    )
+    def test_matches_nonzero_extent(self, dtype, shape, points, value):
+        data = np.zeros(shape, dtype=dtype)
+        for point in points:
+            data[tuple(i % n for i, n in zip(point, shape))] = value
+        hits = np.nonzero(data)
+        expected = tuple(slice(int(h.min()), int(h.max()) + 1) for h in hits) if hits[0].size else None
+        assert support_box(data) == expected
 
 
 class TestFlipLr:
