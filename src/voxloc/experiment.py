@@ -355,7 +355,7 @@ def _case_task(args: tuple[ExperimentConfig, str, dict, Localizer]) -> tuple[lis
                         base_seed=derive_seed(cfg.seed, case_id, side_idx, MODE_ORDER.index(mode)),
                         keep_samples=False,
                     )
-                    summary = run_mode(localizer, side_res.local_crop, mc)
+                    summary = run_mode(localizer, side_res.local_crop, mc, state=side_res.state)
                     target = side_res.place(summary.mean_map)
                     mad_val = float(summary.mad)
                 pred = target.as_array
@@ -520,7 +520,11 @@ def _read_results(path: Path) -> tuple[dict, list[dict]]:
 def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: str | Path) -> int:
     results_path = Path(results_path)
     meta, records = _read_results(results_path)
-    hard_cases = sorted(entry["id"] for entry in _manifest_entries(manifest_path) if entry["hard"])
+    entries = _manifest_entries(manifest_path)
+    unlisted = sorted({r["case_id"] for r in records} - {entry["id"] for entry in entries})
+    if unlisted:
+        raise SchemaError(f"results file {results_path} has cases {unlisted} that manifest {manifest_path} does not list")
+    hard_cases = sorted(entry["id"] for entry in entries if entry["hard"])
 
     modes_present = list(dict.fromkeys(r["mode"] for r in records))
     long_rows: list[list] = []

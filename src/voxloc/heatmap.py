@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from voxloc.volume import Volume3, support_box
+from voxloc.volume import Volume3, _from_block
 
 __all__ = [
     "HeatmapSpec",
@@ -77,6 +77,7 @@ def gaussian_heatmap(spec: HeatmapSpec, center: TargetPoint, dims, spacing) -> V
     is exactly ``spec.peak`` when the center lies on a voxel. A center
     inside the grid whose map would be all zero (a sigma far below the
     voxel size) is an error, so a heatmap never silently encodes nothing.
+    The map's ``support`` comes from the block it writes.
     """
     dims = tuple(int(d) for d in dims)
     spacing = tuple(float(s) for s in spacing)
@@ -85,7 +86,6 @@ def gaussian_heatmap(spec: HeatmapSpec, center: TargetPoint, dims, spacing) -> V
     if any(s <= 0 for s in spacing):
         raise ValueError(f"spacing must be positive, got {spacing}")
     c = center.as_array
-    out = np.zeros(dims, dtype=np.float64)
     r_mm = spec.support_radius_mm
     lo = [0, 0, 0]
     hi = list(dims)
@@ -93,8 +93,7 @@ def gaussian_heatmap(spec: HeatmapSpec, center: TargetPoint, dims, spacing) -> V
         for a in range(3):
             lo[a] = max(0, int(math.floor((c[a] * spacing[a] - r_mm) / spacing[a])))
             hi[a] = min(dims[a], int(math.ceil((c[a] * spacing[a] + r_mm) / spacing[a])) + 1)
-            if lo[a] >= hi[a]:
-                return Volume3(out, spacing)
+    box = tuple(slice(lo[a], max(lo[a], hi[a])) for a in range(3))
     # squared mm distance decomposes per axis on the regular grid
     d2 = [
         ((np.arange(lo[a], hi[a], dtype=np.float64) - c[a]) * spacing[a]) ** 2
@@ -106,8 +105,7 @@ def gaussian_heatmap(spec: HeatmapSpec, center: TargetPoint, dims, spacing) -> V
     block[block < spec.cutoff] = 0.0
     if not block.any() and all(0.0 <= c[a] <= dims[a] - 1 for a in range(3)):
         raise ValueError(f"no voxel reaches the cutoff: sigma {spec.sigma_mm} mm is far below the voxel size")
-    out[lo[0] : hi[0], lo[1] : hi[1], lo[2] : hi[2]] = block
-    return Volume3(out, spacing)
+    return _from_block(block, box, dims, spacing)
 
 
 def argmax_position(h: Volume3) -> TargetPoint:
@@ -115,18 +113,15 @@ def argmax_position(h: Volume3) -> TargetPoint:
 
     Ties break to the smallest linear index in x-fastest order. NaN
     voxels are ignored; an all-NaN volume is invalid data. The scan
-    covers only the heatmap's ``support_box`` when that box holds a value
+    covers only the heatmap's ``support`` when that box holds a value
     above 0.
     """
-    return _argmax_in_box(h, support_box(h.data))
-
-
-def _argmax_in_box(h: Volume3, box) -> TargetPoint:
-    # argmax_position of h, given box = support_box(h.data). A positive
-    # maximum of the box is the volume's maximum, since every voxel outside
-    # is 0, and the box's own x-fastest scan visits its voxels in the grid's
-    # linear order, so the tie-break holds. A NaN in the box (argmax stops
-    # there), a box of values <= 0 and an all-zero volume scan the grid.
+    # A positive maximum of the box is the volume's maximum, since every
+    # voxel outside is 0, and the box's own x-fastest scan visits its voxels
+    # in the grid's linear order, so the tie-break holds. A NaN in the box
+    # (argmax stops there), a box of values <= 0 and an all-zero volume scan
+    # the grid.
+    box = h.support
     if box is not None:
         block = h.data[box]
         flat = block.ravel(order="F")

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import InitVar, dataclass, field
+from typing import Any
 
 import numpy as np
 from scipy import ndimage
@@ -75,8 +76,10 @@ class SideResult:
     """Stage-2 output for one side, built from the localizer-frame heatmap.
 
     ``local_crop`` is the crop in the localizer frame (mirrored on the
-    left); ``crop``, ``heatmap`` and ``target`` are in the native
-    orientation. ``grid`` is the dims of the whole volume.
+    left) and ``state`` is the localizer's ``prepare(local_crop)``, kept
+    so that an mcdo pass over the crop need not prepare it again;
+    ``crop``, ``heatmap`` and ``target`` are in the native orientation.
+    ``grid`` is the dims of the whole volume.
     """
 
     side: str
@@ -84,6 +87,7 @@ class SideResult:
     grid: tuple[int, int, int]
     crop: Volume3
     local_crop: Volume3
+    state: Any = field(repr=False)
     local_heatmap: InitVar[Volume3]
     heatmap: Volume3 = field(init=False)
     target: TargetPoint = field(init=False)
@@ -212,8 +216,9 @@ def run_pipeline(cfg: PipelineConfig, image: Volume3) -> PipelineResult:
 
         t0 = time.perf_counter()
         local_crop = _mirror(side, crop)
-        heat = cfg.localizer.predict(local_crop, stochastic=False)
-        sides[side] = SideResult(side, box, image.dims, crop, local_crop, heat)
+        state = cfg.localizer.prepare(local_crop)
+        heat = cfg.localizer.sample(state, False, 0)
+        sides[side] = SideResult(side, box, image.dims, crop, local_crop, state, heat)
         timings["localize"] += (time.perf_counter() - t0) * 1e3
 
     timings["total"] = (time.perf_counter() - total0) * 1e3

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from voxloc.volume import Volume3, support_box
+from voxloc.volume import Volume3
 
 __all__ = [
     "RigidTransform",
@@ -101,7 +101,7 @@ def rigid_apply(tf: RigidTransform, v: Volume3, interpolation: str = "trilinear"
     to the nearest edge voxel. Images and heatmaps use trilinear
     interpolation, masks should use nearest.
 
-    The cost follows the input's support: when its nonzero ``support_box``
+    The cost follows the input's support: when its nonzero ``support``
     touches no face of the grid, only the output block that box can reach
     is resampled and every other output voxel is exactly 0. An input whose
     support touches a face (any dense image) or that is all zero takes the
@@ -115,7 +115,7 @@ def rigid_apply(tf: RigidTransform, v: Volume3, interpolation: str = "trilinear"
     offset = pivot - rot_inv @ (pivot + np.asarray(tf.translation))
     order = 1 if interpolation == "trilinear" else 0
     data = v.data.astype(np.float64, copy=False)
-    block = _mapped_block(tf, v.dims, support_box(v.data))
+    block = _mapped_block(tf, v.dims, v.support)
     if block is None:
         out = ndimage.affine_transform(data, rot_inv, offset=offset, order=order, mode="nearest")
     else:

@@ -6,11 +6,15 @@ a sample is augmented and whether the predictor is stochastic. Sample
 the localizer's ``sample`` from a ``prepare``d state:
 
 * mcdo: stochastic predictor on the untransformed input, prepared once
-  for all N samples (a failed ``prepare`` is sample 0's failure).
+  for all N samples (a failed ``prepare`` is sample 0's failure). A
+  caller that already holds that state passes it as ``state``: an mcdo
+  row of ``cmd_run`` samples the state the pipeline prepared for its
+  baseline, so it prepares nothing. With ``ConvNetLocalizer`` a case
+  therefore holds both sides' prefix activations until its rows finish.
 * tta: draw a rigid + intensity transform, undo it on the input (spatial
   inverse with trilinear resampling, then the intensity inverse),
-  prepare that input and sample deterministically, and map the heatmap
-  back through the forward spatial transform.
+  prepare that input on its own and sample deterministically, and map
+  the heatmap back through the forward spatial transform.
 * hybrid: the augmentation chain with the stochastic predictor, so both
   randomness sources are active.
 
@@ -20,13 +24,16 @@ centroid, and the mean distance of the positions from that centroid (the
 dispersion score used for rejection). The final target of a run is the
 argmax of the mean map.
 
-A sample costs its heatmap's support, not the crop: its ``support_box``
-is found once, and the argmax and the two running sums read only that
-box. In tta and hybrid the warp back also fills only the block the
-box can reach. A dense heatmap, or one whose support touches a face of
-the crop, gets the whole grid and runs the full passes; an all-zero one
-adds nothing and scans the grid for its argmax. The outputs are the
-same bits as the full passes give.
+A sample costs its heatmap's support, not the crop: the argmax and the
+two running sums read only its ``Volume3.support`` box, which
+``gaussian_heatmap`` sets from the block it writes (other volumes find
+it once, on first use). In tta and hybrid the warp back also fills only
+the block the box can reach. The mean and variance are computed only
+inside the union of the sample boxes, and the final target's argmax
+scans only that union. A dense heatmap, or one whose support touches a
+face of the crop, gets the whole grid and runs the full passes; an
+all-zero one adds nothing and scans the grid for its argmax. The
+outputs are the same bits as the full passes give.
 
 tta and hybrid draw their samples on the calling thread plus one helper
 thread per further core the process may use, as a sample's warps,
@@ -53,10 +60,10 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from voxloc.heatmap import TargetPoint, _argmax_in_box, argmax_position
+from voxloc.heatmap import TargetPoint, argmax_position
 from voxloc.predictors import Localizer
 from voxloc.transforms import TransformPriors, intensity_apply_inverse, rigid_apply, sample_transform
-from voxloc.volume import Volume3, support_box
+from voxloc.volume import Volume3, _from_block
 
 __all__ = [
     "SamplingError",
@@ -127,10 +134,11 @@ class UncertaintySummary:
 class _Accumulator:
     """Streaming sum/sum-of-squares reduction over sample heatmaps.
 
-    Both sums start as zeros and each sample adds only its support box,
-    given by the caller as ``support_box(v.data)``. Outside the box the
-    sample is 0, and 0.0 + x is x, so the sums equal the dense sums bit
-    for bit (a voxel that is 0 in every sample sums to +0.0).
+    Both sums start as zeros and each sample adds only its ``support``
+    box. Outside the box the sample is 0, and 0.0 + x is x, so the sums
+    equal the dense sums bit for bit (a voxel that is 0 in every sample
+    sums to +0.0). ``finalize`` reduces only the union of the boxes:
+    outside it, 0/n and 0 - 0*0 are the +0.0 the dense passes give.
     """
 
     def __init__(self):
@@ -139,8 +147,9 @@ class _Accumulator:
         self.total_sq = None
         self.spacing = None
         self.dims = None
+        self.union = None  # of the sample boxes
 
-    def add(self, v: Volume3, box) -> None:
+    def add(self, v: Volume3) -> None:
         if self.total is None:
             self.total = np.zeros(v.dims)
             self.total_sq = np.zeros(v.dims)
@@ -148,17 +157,22 @@ class _Accumulator:
             self.dims = v.dims
         elif v.dims != self.dims:
             raise ValueError(f"sample dims {v.dims} do not match {self.dims}")
+        box = v.support
         if box is not None:
             block = v.data[box].astype(np.float64, copy=False)
             self.total[box] += block
             self.total_sq[box] += block * block
+            if self.union is not None:
+                box = tuple(slice(min(u.start, b.start), max(u.stop, b.stop)) for u, b in zip(self.union, box))
+            self.union = box
         self.n += 1
 
     def finalize(self) -> tuple[Volume3, Volume3]:
-        mean = self.total / self.n
-        var = self.total_sq / self.n - mean * mean
+        union = self.union or (slice(0, 0),) * 3
+        mean = self.total[union] / self.n
+        var = self.total_sq[union] / self.n - mean * mean
         np.maximum(var, 0.0, out=var)  # rounding can leave tiny negatives
-        return Volume3(mean, self.spacing), Volume3(var, self.spacing)
+        return _from_block(mean, union, self.dims, self.spacing), _from_block(var, union, self.dims, self.spacing)
 
 
 def mean_variance(samples: Sequence[Volume3]) -> tuple[Volume3, Volume3]:
@@ -167,7 +181,7 @@ def mean_variance(samples: Sequence[Volume3]) -> tuple[Volume3, Volume3]:
         raise ValueError(f"need at least 2 samples, got {len(samples)}")
     acc = _Accumulator()
     for s in samples:
-        acc.add(s, support_box(s.data))
+        acc.add(s)
     return acc.finalize()
 
 
@@ -221,9 +235,8 @@ def _aggregate(cfg: McConfig, sample_fn: Callable[[int], Volume3], threads: int 
                     pending[submitted] = pool.submit(_draw, sample_fn, submitted)
                 submitted += 1
             sample = pending.pop(i).result() if i in pending else _draw(sample_fn, i)
-            box = support_box(sample.data)
-            acc.add(sample, box)
-            positions[i] = _argmax_in_box(sample, box).as_array
+            acc.add(sample)
+            positions[i] = argmax_position(sample).as_array
             if kept is not None:
                 kept.append(sample)
     finally:
@@ -256,8 +269,14 @@ def _augmented_sample(
     return rigid_apply(tf, heat, interpolation="trilinear")
 
 
-def run_mode(loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:
-    """Sample and aggregate with the switches of cfg.mode."""
+def run_mode(loc: Localizer, v: Volume3, cfg: McConfig, state=None) -> UncertaintySummary:
+    """Sample and aggregate with the switches of cfg.mode.
+
+    ``state`` is ``loc.prepare(v)`` when the caller already holds it, as
+    the pipeline does (``SideResult.state``): mcdo then samples from it
+    instead of preparing ``v`` again. tta and hybrid prepare each
+    augmented input and do not read it.
+    """
     augment, stochastic = _SWITCHES[cfg.mode]
     if augment:
         return _aggregate(
@@ -266,10 +285,11 @@ def run_mode(loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:
             _sample_threads(cfg.n_samples),
         )
     # every sample sees the same input: prepare it once
-    try:
-        state = loc.prepare(v)
-    except Exception as exc:  # noqa: BLE001 - re-raised as the first sample's failure
-        raise SamplingError(0, str(exc)) from exc
+    if state is None:
+        try:
+            state = loc.prepare(v)
+        except Exception as exc:  # noqa: BLE001 - re-raised as the first sample's failure
+            raise SamplingError(0, str(exc)) from exc
     return _aggregate(cfg, lambda i: loc.sample(state, stochastic, cfg.base_seed + i))
 
 

@@ -81,6 +81,21 @@ class Volume3:
         """Values in x-fastest linear order (the file payload order)."""
         return self.data.ravel(order="F")
 
+    @property
+    def support(self) -> tuple[slice, slice, slice] | None:
+        """``support_box(self.data)``, found on first use and then kept.
+
+        The buffer is read-only, so the box cannot go stale. A volume
+        built by ``_from_block`` has it from its block alone. Threads that
+        read it first at the same time each store the same box.
+        """
+        try:
+            return self.__dict__["_support"]
+        except KeyError:
+            box = support_box(self.data)
+            object.__setattr__(self, "_support", box)
+            return box
+
 
 @dataclass(frozen=True)
 class VoxelBox:
@@ -233,6 +248,22 @@ def support_box(data: np.ndarray) -> tuple[slice, slice, slice] | None:
     return tuple(box)
 
 
+def _from_block(block: np.ndarray, box: tuple[slice, slice, slice], dims, spacing) -> Volume3:
+    """A volume that holds ``block`` on ``box`` and +0.0 elsewhere.
+
+    Its ``support`` is found from the block alone, so no pass scans the
+    rest of the grid for it.
+    """
+    out = np.zeros(dims, dtype=block.dtype)
+    out[box] = block
+    v = Volume3(out, spacing)
+    inner = support_box(block) if block.size else None
+    if inner is not None:
+        inner = tuple(slice(b.start + s.start, b.start + s.stop) for b, s in zip(box, inner))
+    object.__setattr__(v, "_support", inner)
+    return v
+
+
 # ---------------------------------------------------------------------------
 # file format: JSON header + raw little-endian float32 payload
 # ---------------------------------------------------------------------------
@@ -261,7 +292,11 @@ def write_volume(v: Volume3, header_path: str | Path) -> None:
         "axis0": AXIS0_CONVENTION,
     }
     header_path.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
-    payload = np.ascontiguousarray(v.data.astype("<f4").ravel(order="F"))
+    # x-fastest is the (k, j, i) C-order array; one 2-D transpose per j
+    # beats numpy's 3-D transposing copy
+    payload = np.empty(v.dims[::-1], dtype="<f4")
+    for j in range(v.dims[1]):
+        payload[:, j, :] = v.data[:, j, :].T
     _payload_path(header_path).write_bytes(payload.tobytes())
 
 
@@ -287,5 +322,8 @@ def read_volume(header_path: str | Path) -> Volume3:
         raise ValueError(
             f"payload length mismatch for {header_path}: expected {expected} bytes, got {len(raw)}"
         )
-    data = np.frombuffer(raw, dtype="<f4").reshape(dims, order="F").copy()
+    src = np.frombuffer(raw, dtype="<f4").reshape(dims[::-1])
+    data = np.empty(dims, dtype="<f4")
+    for j in range(dims[1]):  # one 2-D transpose per j, as in write_volume
+        data[:, j, :] = src[:, j, :].T
     return Volume3(data, spacing)

@@ -36,7 +36,7 @@ from voxloc.experiment import (
     config_hash,
     load_config,
 )
-from voxloc.predictors import ConvNetLocalizer, ConvNetSpec, save_weights
+from voxloc.predictors import ConvNetLocalizer, ConvNetSpec, MarkerLocalizer, save_weights
 
 DIMS = (96, 96, 96)
 N_CASES = 4
@@ -286,6 +286,15 @@ class TestRun:
         assert {r["mode"] for r in rows} == {"baseline", "mcdo"}
         assert len(rows) == N_CASES * 2 * 2
 
+    def test_mcdo_rows_sample_the_pipeline_state(self, cohort_dir, tmp_path, monkeypatch):
+        # the pipeline prepares each side's crop once; its mcdo row samples that state
+        prepared = []
+        original = MarkerLocalizer.prepare
+        monkeypatch.setattr(MarkerLocalizer, "prepare", lambda self, v: prepared.append(v) or original(self, v))
+        cfg = small_config(cohort_dir, tmp_path / "state", modes=("baseline", "mcdo"))
+        assert cmd_run(cfg) == EXIT_OK
+        assert len(prepared) == N_CASES * 2
+
     def test_missing_manifest_is_schema_error(self, tmp_path):
         cfg = small_config(tmp_path / "nowhere", tmp_path / "r")
         with pytest.raises(SchemaError, match="manifest"):
@@ -436,7 +445,8 @@ class TestAnalyze:
         # both decide on the written 1.750000
         mads = iter([1.0, 1.1, 1.2, 1.3, 1.4, 1.7500003])
         monkeypatch.setattr(
-            "voxloc.experiment.run_mode", lambda loc, crop, mc: SimpleNamespace(mean_map=crop, mad=next(mads))
+            "voxloc.experiment.run_mode",
+            lambda loc, crop, mc, state=None: SimpleNamespace(mean_map=crop, mad=next(mads)),
         )
         cfg = ExperimentConfig(cohort_dir=str(tmp_path / "cohort"), out_dir=str(tmp_path / "run"), n_cases=3,
                                dims=(64, 64, 64), modes=("mcdo",), workers=1, seed=4)
@@ -601,6 +611,22 @@ class TestCli:
         assert len(lines) == 1 and lines[0].startswith("error: "), err
         assert field in lines[0]
         assert not out.exists()
+
+    def test_results_from_another_cohort_is_one_line_io_error(self, tmp_path, capsys):
+        # cases 0-7 with an outlier at 7, scored against a manifest that lists only case 0
+        results = tmp_path / "results.csv"
+        write_results_fixture(results, {i: 1.0 + 0.01 * i + (5.0 if i == 7 else 0.0) for i in range(8)})
+        write_manifest_fixture(tmp_path / "manifest.json", 1, {0})
+        out = tmp_path / "r"
+        assert main(["analyze", "--results", str(results), "--cohort", str(tmp_path), "--out", str(out)]) == 4
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        lines = err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        assert "[1, 2, 3, 4, 5, 6, 7]" in lines[0] and "does not list" in lines[0]
+        assert not out.exists()
+        with pytest.raises(SchemaError, match="does not list"):
+            cmd_analyze(results, tmp_path / "manifest.json", out)
 
     @pytest.mark.parametrize("bad_file", ["cfg.json", "run/manifest.json", "manifest.json", "results.csv"])
     def test_undecodable_input_is_one_line_io_error(self, tmp_path, capsys, bad_file):

@@ -17,7 +17,7 @@ from voxloc.heatmap import (
     gaussian_heatmap,
     wmse,
 )
-from voxloc.volume import Volume3, flip_lr
+from voxloc.volume import Volume3, flip_lr, support_box
 
 
 class TestHeatmapSpec:
@@ -125,6 +125,42 @@ class TestGaussianHeatmap:
         expected = np.zeros((10, 10, 10))
         expected[5, 5, 5] = 1.0
         assert h.data.tobytes() == expected.tobytes()
+
+
+@st.composite
+def heatmap_requests(draw):
+    """Grid, spacing and a centre inside it, on a face or off it."""
+    dims = draw(st.tuples(*[st.integers(1, 40)] * 3))
+    spacing = draw(st.tuples(*[st.floats(0.5, 2.0)] * 3))
+    center = [draw(st.floats(0.0, d - 1.0)) for d in dims]
+    where = draw(st.sampled_from(["inside", "face", "off"]))
+    axis = draw(st.integers(0, 2))
+    if where == "face":
+        center[axis] = draw(st.sampled_from([0.0, dims[axis] - 1.0]))
+    elif where == "off":
+        beyond = draw(st.floats(0.5, 30.0))
+        center[axis] = draw(st.sampled_from([-beyond, dims[axis] - 1.0 + beyond]))
+    return dims, spacing, TargetPoint(tuple(center))
+
+
+class TestSeededSupport:
+    # sigma >= 1 mm on spacings <= 2 mm keeps a voxel within reach of any centre inside the grid
+    @settings(max_examples=300, deadline=None)
+    @given(
+        request=heatmap_requests(),
+        sigma=st.floats(1.0, 6.0),
+        cutoff=st.one_of(st.just(0.0), st.floats(1e-6, 0.2)),
+    )
+    def test_seeded_box_is_support_box(self, request, sigma, cutoff):
+        dims, spacing, center = request
+        h = gaussian_heatmap(HeatmapSpec(sigma_mm=sigma, cutoff=cutoff), center, dims, spacing)
+        assert "_support" in h.__dict__  # seeded at construction, not found by a later scan
+        assert h.support == support_box(h.data)
+
+    def test_off_grid_centre_has_no_support(self):
+        h = gaussian_heatmap(HeatmapSpec(), TargetPoint((-40.0, 5.0, 5.0)), (10, 12, 14), (1, 1, 1))
+        assert h.__dict__["_support"] is None
+        assert not h.data.any()
 
 
 class TestArgmaxPosition:

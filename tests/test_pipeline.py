@@ -15,7 +15,8 @@ from voxloc.pipeline import (
     largest_connected_component,
     run_pipeline,
 )
-from voxloc.predictors import MarkerLocalizer, OracleLocalizerConfig, TruthMaskSegmenter
+from voxloc.predictors import ConvNetLocalizer, ConvNetSpec, MarkerLocalizer, OracleLocalizerConfig, TruthMaskSegmenter
+from voxloc.uncertainty import McConfig, run_mode
 from voxloc.volume import Volume3, downsample_to, flip_lr
 
 SP = (1.0, 1.0, 1.0)
@@ -163,8 +164,14 @@ class FixedPointLocalizer:
     def __init__(self, point):
         self.point = point
 
+    def prepare(self, v):
+        return v
+
+    def sample(self, state, stochastic=False, seed=0):
+        return gaussian_heatmap(HeatmapSpec(), TargetPoint(self.point), state.dims, state.spacing)
+
     def predict(self, v, stochastic=False, seed=0):
-        return gaussian_heatmap(HeatmapSpec(), TargetPoint(self.point), v.dims, v.spacing)
+        return self.sample(self.prepare(v), stochastic, seed)
 
 
 @pytest.fixture(scope="module")
@@ -323,3 +330,35 @@ class TestPlacement:
             assert res.place(cfg.localizer.predict(res.local_crop)) == res.target
         np.testing.assert_array_equal(result.sides["left"].local_crop.data, flip_lr(result.sides["left"].crop).data)
         assert result.sides["right"].local_crop is result.sides["right"].crop
+
+
+class TestKeptState:
+    """An mcdo pass from ``SideResult.state`` is the pass that prepares the crop itself."""
+
+    @pytest.mark.parametrize(
+        "make_localizer",
+        [
+            lambda: MarkerLocalizer(OracleLocalizerConfig(jitter_std=0.8)),
+            lambda: ConvNetLocalizer.from_seed(ConvNetSpec(channels=(2, 2, 1)), seed=5),
+        ],
+        ids=["marker", "convnet"],
+    )
+    def test_mcdo_from_kept_state_is_bit_identical(self, phantom_case, make_localizer, monkeypatch):
+        loc = make_localizer()
+        result = run_pipeline(make_config(phantom_case, localizer=loc), phantom_case.image)
+        cfg = McConfig(mode="mcdo", n_samples=3, base_seed=11, keep_samples=False)
+        fresh = {side: run_mode(loc, res.local_crop, cfg) for side, res in result.sides.items()}
+
+        def no_prepare(v):
+            raise AssertionError("the kept state was prepared again")
+
+        monkeypatch.setattr(loc, "prepare", no_prepare)
+        for side, res in result.sides.items():
+            kept = run_mode(loc, res.local_crop, cfg, state=res.state)
+            want = fresh[side]
+            assert kept.argmax_positions.tobytes() == want.argmax_positions.tobytes()
+            assert kept.mean_map.data.tobytes() == want.mean_map.data.tobytes()
+            assert kept.variance_map.data.tobytes() == want.variance_map.data.tobytes()
+            assert kept.mad == want.mad
+            assert kept.final_target == want.final_target
+            assert res.place(kept.mean_map) == res.place(want.mean_map)

@@ -40,7 +40,7 @@ from voxloc.uncertainty import (
     run_mode,
     run_tta,
 )
-from voxloc.volume import Volume3
+from voxloc.volume import Volume3, support_box
 
 SP = (1.0, 1.0, 1.0)
 
@@ -119,6 +119,9 @@ class TestMeanVariance:
         ref_var = np.maximum(sum(d * d for d in dense) / n - ref_mean * ref_mean, 0.0)
         assert mean.data.tobytes() == ref_mean.tobytes()
         assert var.data.tobytes() == ref_var.tobytes()
+        # the maps' supports come from the union block, not a later scan
+        assert mean.__dict__["_support"] == support_box(mean.data)
+        assert var.__dict__["_support"] == support_box(var.data)
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dims"):

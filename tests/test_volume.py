@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import sys
+import tempfile
+from concurrent.futures import ThreadPoolExecutor
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -270,6 +275,49 @@ class TestSupportBox:
         assert support_box(data) == expected
 
 
+class TestCachedSupport:
+    """``Volume3.support`` of a volume not built from a block is found on first use."""
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda data: Volume3(data, (1, 1, 1)),
+            lambda data: Volume3(np.zeros(data.shape), (1, 1, 1)).with_data(data),
+            lambda data: flip_lr(Volume3(data, (1, 1, 1))),
+            lambda data: crop_box(Volume3(data, (1, 1, 1)), VoxelBox((4, 3, 5), (7, 6, 9))),
+            lambda data: downsample_to(Volume3(data, (1, 1, 1)), (5, 4, 6), interpolation="nearest"),
+        ],
+        ids=["constructor", "with-data", "flip-lr", "crop-box", "downsample"],
+    )
+    @pytest.mark.parametrize("points", [[], [(2, 1, 3)], [(0, 5, 1), (6, 2, 8)]], ids=["empty", "one", "two"])
+    def test_filled_lazily_with_support_box(self, make, points):
+        data = np.zeros((7, 6, 9))
+        for p in points:
+            data[p] = 0.5
+        v = make(data)
+        assert "_support" not in v.__dict__
+        expected = support_box(v.data)
+        assert v.support == expected
+        assert v.__dict__["_support"] == expected
+        assert v.support is v.__dict__["_support"]
+
+    def test_first_use_from_many_threads_agrees(self):
+        # tta and hybrid sampler threads read one crop's support; each first read stores the same box
+        data = np.zeros((24, 20, 28))
+        data[3:9, 15, 2:20] = 1.0
+        expected = support_box(data)
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                for _ in range(40):
+                    v = Volume3(data.copy(), (1, 1, 1))
+                    assert list(pool.map(lambda _: v.support, range(12), timeout=30)) == [expected] * 12
+                    assert v.__dict__["_support"] == expected
+        finally:
+            sys.setswitchinterval(old)
+
+
 class TestFlipLr:
     def test_involution_bitwise(self):
         rng = np.random.default_rng(8)
@@ -314,6 +362,24 @@ class TestVolumeFiles:
         write_volume(v, path)
         raw = np.frombuffer((tmp_path / "vol.raw").read_bytes(), dtype="<f4")
         np.testing.assert_array_equal(raw, v.data.ravel(order="F").astype(np.float32))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(*[st.integers(1, 9)] * 3),
+        dtype=st.sampled_from([np.float32, np.float64, ">f8"]),
+        seed=st.integers(0, 2**16),
+    )
+    def test_slab_transposes_match_fortran_order(self, shape, dtype, seed):
+        data = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "vol.json"
+            write_volume(Volume3(data, (1, 1, 1)), path)
+            raw = (Path(tmp) / "vol.raw").read_bytes()
+            back = read_volume(path)
+        assert raw == data.astype("<f4").ravel(order="F").tobytes()
+        expected = np.frombuffer(raw, dtype="<f4").reshape(shape, order="F")
+        assert back.data.flags.c_contiguous
+        assert back.data.tobytes() == np.ascontiguousarray(expected).tobytes()
 
     def test_rejects_payload_length_mismatch(self, tmp_path):
         v = Volume3(np.zeros((4, 4, 4), dtype=np.float32), (1, 1, 1))
