@@ -56,7 +56,7 @@ def build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", parents=[common], help="run the pipeline over a cohort")
     run.add_argument("--cohort", type=Path, default=None, help="cohort directory")
     run.add_argument("--out", type=Path, default=None, help="output directory")
-    run.add_argument("--workers", type=int, default=None, help="parallel case workers")
+    run.add_argument("--workers", type=int, default=None, help="case threads (1: the calling thread)")
     run.add_argument(
         "--modes",
         type=str,

@@ -24,6 +24,7 @@ from __future__ import annotations
 import concurrent.futures
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -48,7 +49,7 @@ from voxloc.predictors import (
     TruthMaskSegmenter,
 )
 from voxloc.transforms import TransformPriors
-from voxloc.uncertainty import MODES, BoxplotStats, McConfig, rejection_stats, run_mode
+from voxloc.uncertainty import DRAW_ALONE, MODES, BoxplotStats, McConfig, rejection_stats, run_mode
 
 __all__ = [
     "UsageError",
@@ -106,10 +107,10 @@ _PRIOR_FIELDS = {
 
 @contextlib.contextmanager
 def _config_field(name: str):
-    """Turn a TypeError/ValueError raised while checking a config field into a usage error naming it."""
+    """Turn a TypeError, ValueError or OverflowError from checking a config field into a usage error naming it."""
     try:
         yield
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise UsageError(f"bad config value for {name}: {exc}") from exc
 
 
@@ -309,15 +310,11 @@ def _manifest_entries(manifest_path: str | Path) -> list[dict]:
     return entries
 
 
-def _case_task(args: tuple[ExperimentConfig, str, dict, Localizer]) -> tuple[list[dict], dict]:
-    cfg, manifest_path, entry, localizer = args
+def _case_task(cfg: ExperimentConfig, manifest_path: Path, localizers: dict, entry: dict) -> tuple[list[dict], dict]:
+    localizer = localizers[entry["hard"]]
     case_id = entry["id"]
     truths = {s: list(map(float, entry["truth_targets"][s])) for s in SIDES}
-    case_json: dict = {
-        "case_id": case_id,
-        "hard": entry["hard"],
-        "modes": {},
-    }
+    case_json: dict = {"case_id": case_id, "hard": entry["hard"], "modes": {}}
 
     sides: dict = {}
     try:
@@ -439,13 +436,13 @@ def cmd_run(cfg: ExperimentConfig) -> int:
                 f"for each of {SIDES}"
             )
 
-    localizers = _build_localizers(cfg)
-    tasks = [(cfg, str(manifest_path), entry, localizers[entry["hard"]]) for entry in entries]
+    task = functools.partial(_case_task, cfg, manifest_path, _build_localizers(cfg))
     if cfg.workers > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=cfg.workers) as pool:
-            outcomes = list(pool.map(_case_task, tasks))
+        # case threads share the localizers; each draws its samples alone
+        with concurrent.futures.ThreadPoolExecutor(cfg.workers, initializer=DRAW_ALONE.set, initargs=(True,)) as pool:
+            outcomes = list(pool.map(task, entries))
     else:
-        outcomes = [_case_task(t) for t in tasks]
+        outcomes = list(map(task, entries))
 
     rows = [row for case_rows, _ in outcomes for row in case_rows]
     case_jsons = [case_json for _, case_json in outcomes]

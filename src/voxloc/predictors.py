@@ -70,9 +70,10 @@ class Localizer(Protocol):
       (input, seed).
     * ``sample`` never writes into the state: one state serves any
       number of samples.
-    * ``prepare`` and ``sample`` may run concurrently from two threads
-      on different inputs (tta and hybrid draw samples on helper
-      threads), so neither may write into the localizer itself.
+    * ``prepare`` and ``sample`` may run concurrently from several
+      threads on different inputs (``cmd_run`` case threads share one
+      localizer, and tta and hybrid draw samples on helper threads),
+      so neither may write into the localizer itself.
     """
 
     def prepare(self, v: Volume3) -> Any: ...
@@ -306,8 +307,8 @@ class OracleLocalizerConfig:
     heatmap: HeatmapSpec = field(default_factory=HeatmapSpec)
 
     def __post_init__(self):
-        if self.jitter_std < 0:
-            raise ValueError(f"jitter_std must be >= 0, got {self.jitter_std}")
+        if not 0 <= self.jitter_std < np.inf:  # NaN fails both comparisons
+            raise ValueError(f"jitter_std must be finite and >= 0, got {self.jitter_std}")
         if not 0.0 <= self.failure_rate <= 1.0:
             raise ValueError(f"failure_rate must lie in [0,1], got {self.failure_rate}")
 

@@ -262,8 +262,8 @@ class TransformPriors:
             ("r_range", self.r_range),
             ("curve_control_range", self.curve_control_range),
         ):
-            if lo > hi:
-                raise ValueError(f"{name} is empty: ({lo}, {hi})")
+            if not -np.inf < lo <= hi < np.inf:  # a NaN end fails every comparison
+                raise ValueError(f"{name} must be finite and nonempty: ({lo}, {hi})")
         c0, c1 = self.curve_control_range
         if c0 < 0.0 or c1 > 1.0:
             raise ValueError("curve control range must lie inside [0,1]")

@@ -42,16 +42,16 @@ sample depends only on its seed, and the samples are consumed in index
 order, so the sums, positions, MAD, final target and the index of a
 reported failure do not depend on how many threads drew them. mcdo
 stays on the calling thread: its samples are short Python work on one
-prepared state. A ``multiprocessing`` child (a ``cmd_run --workers N``
-case worker) also draws alone, since its sibling workers hold the
-cores. The helper costs about 11 MiB of peak RSS (its malloc arena)
-and a finished sample or two in flight; with ``ConvNetLocalizer`` a
-hybrid run holds two samples' activations at once.
+prepared state. A thread that set ``DRAW_ALONE`` (a ``cmd_run
+--workers N`` case thread) also draws alone, since its sibling case
+threads hold the cores. The helper costs about 11 MiB of peak RSS (its
+malloc arena) and a finished sample or two in flight; with
+``ConvNetLocalizer`` a hybrid run holds two samples' activations at once.
 """
 
 from __future__ import annotations
 
-import multiprocessing
+import contextvars
 import operator
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -81,6 +81,8 @@ __all__ = [
 # mode -> (augment the input, stochastic predictor)
 _SWITCHES = {"mcdo": (False, True), "tta": (True, False), "hybrid": (True, True)}
 MODES = tuple(_SWITCHES)
+# True in a thread whose sibling threads hold the cores (a cmd_run case thread): it draws samples alone
+DRAW_ALONE = contextvars.ContextVar("DRAW_ALONE", default=False)
 
 
 class SamplingError(Exception):
@@ -198,10 +200,10 @@ def mad(positions) -> float:
 def _sample_threads(n_samples: int) -> int:
     """Threads that draw augmented samples: the calling one plus one helper per further core.
 
-    A ``multiprocessing`` child (a ``cmd_run --workers N`` case worker)
-    draws alone, since its siblings already hold the cores.
+    A thread that set ``DRAW_ALONE`` (a ``cmd_run --workers N`` case
+    thread) draws alone, since its sibling case threads hold the cores.
     """
-    if multiprocessing.parent_process() is not None:
+    if DRAW_ALONE.get():
         return 1
     try:
         cpus = len(os.sched_getaffinity(0))

@@ -13,6 +13,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import threading
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -21,6 +22,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import voxloc
+from voxloc import experiment, uncertainty
 from voxloc.cli import main
 from voxloc.experiment import (
     EXIT_OK,
@@ -256,11 +258,36 @@ class TestRun:
         assert cmd_run(cfg2) == EXIT_OK
         assert (out / "results.csv").read_bytes() == (tmp_path / "rerun" / "results.csv").read_bytes()
 
-    def test_worker_pool_matches_serial(self, run_outputs, cohort_dir, tmp_path):
+    @pytest.mark.parametrize("workers", [2, 8])  # 8 is more workers than cases
+    def test_worker_pool_matches_serial(self, run_outputs, cohort_dir, tmp_path, workers):
         cfg, out, _ = run_outputs
-        cfg2 = small_config(cohort_dir, tmp_path / "pool", workers=2)
+        cfg2 = small_config(cohort_dir, tmp_path / "pool", workers=workers)
         assert cmd_run(cfg2) == EXIT_OK
         assert (out / "results.csv").read_bytes() == (tmp_path / "pool" / "results.csv").read_bytes()
+
+    def test_case_threads_draw_alone(self, cohort_dir, tmp_path, monkeypatch):
+        # each row records the thread it ran on and the sampler's thread budget there
+        calls = []
+        original = experiment.run_mode
+
+        def recording(*args, **kwargs):
+            calls.append((threading.get_ident(), uncertainty._sample_threads(N_SAMPLES)))
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(experiment, "run_mode", recording)
+        caller, budget = threading.get_ident(), uncertainty._sample_threads(N_SAMPLES)
+        for workers in (1, 2, 8):
+            calls.clear()
+            before = threading.active_count()
+            assert cmd_run(small_config(cohort_dir, tmp_path / f"w{workers}", modes=("tta",), workers=workers)) == EXIT_OK
+            assert threading.active_count() == before
+            assert len(calls) == N_CASES * 2
+            threads = {thread for thread, _ in calls}
+            if workers == 1:
+                assert set(calls) == {(caller, budget)}
+            else:
+                assert caller not in threads and {b for _, b in calls} == {1}
+                assert len(threads) <= N_CASES
 
     def test_per_case_json(self, run_outputs):
         cfg, out, _ = run_outputs
@@ -534,6 +561,13 @@ class TestCli:
             (["run"], {"rotate_range_deg": [1]}, "rotate_range_deg"),
             (["run", "--seed", "-1"], {}, "seed"),
             (["run"], {"heatmap_sigma_mm": 5e-324}, "heatmap_sigma_mm"),
+            (["run"], {"jitter_std": float("nan")}, "jitter_std"),
+            (["run"], {"jitter_std": float("inf")}, "jitter_std"),
+            (["run"], {"shift_range_mm": [float("nan"), 5]}, "shift_range_mm"),
+            (["run"], {"rotate_range_deg": [-20, float("inf")]}, "rotate_range_deg"),
+            (["run"], {"shift_range_mm": [float("-inf"), 5]}, "shift_range_mm"),
+            (["run"], {"curve_range": [0.25, float("nan")]}, "curve_range"),
+            (["run"], {"shift_range_mm": [-(10**400), 5]}, "shift_range_mm"),
         ],
         ids=[
             "dims-below-64",
@@ -548,6 +582,13 @@ class TestCli:
             "one-value-rotate-range",
             "run-negative-seed",
             "underflowing-heatmap-sigma",
+            "nan-jitter",
+            "infinite-jitter",
+            "nan-shift-range",
+            "infinite-rotate-range",
+            "negative-infinite-shift-range",
+            "nan-curve-range",
+            "float-overflowing-shift-range",
         ],
     )
     def test_invalid_request_is_one_line_usage_error(self, tmp_path, capsys, argv, config, field):

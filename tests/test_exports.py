@@ -1,4 +1,4 @@
-"""Every name a voxloc module exports exists, and every name a module imports is used."""
+"""Every name a voxloc module exports exists, every name a module imports is used, and voxloc runs in one process."""
 
 import ast
 import importlib
@@ -14,12 +14,13 @@ MODULES = sorted(
     m.name for m in pkgutil.iter_modules(voxloc.__path__, "voxloc.") if m.name != "voxloc.__main__"
 )
 
+SRC_DIR = Path(voxloc.__file__).resolve().parent
 TESTS_DIR = Path(__file__).resolve().parent
 # the acceptance criteria are kept byte-for-byte as first written
 FROZEN = {TESTS_DIR / "test_acceptance.py"}
 SOURCES = sorted(
     path
-    for root in (Path(voxloc.__file__).resolve().parent, TESTS_DIR)
+    for root in (SRC_DIR, TESTS_DIR)
     for path in root.glob("*.py")
     if path not in FROZEN
 )
@@ -50,3 +51,26 @@ def unused_imports(tree: ast.Module) -> list[str]:
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")
 def test_every_import_is_used(path):
     assert unused_imports(ast.parse(path.read_text())) == []
+
+
+def process_parallelism(tree: ast.Module) -> list[str]:
+    """Imports of ``multiprocessing`` and every mention of ``ProcessPoolExecutor``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [alias.name for alias in node.names if alias.name.split(".")[0] == "multiprocessing"]
+        elif isinstance(node, ast.ImportFrom):
+            if (node.module or "").split(".")[0] == "multiprocessing":
+                found.append(node.module)
+            found += [alias.name for alias in node.names if alias.name == "ProcessPoolExecutor"]
+        elif isinstance(node, ast.Name) and node.id == "ProcessPoolExecutor":
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr == "ProcessPoolExecutor":
+            found.append(node.attr)
+    return found
+
+
+def test_one_process_one_parallelism_mechanism():
+    # case workers are threads of one process, so a per-run trace or replay needs no cross-process merge
+    found = {path.name: process_parallelism(ast.parse(path.read_text())) for path in sorted(SRC_DIR.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}

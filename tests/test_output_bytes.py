@@ -3,10 +3,12 @@
 Design and performance changes are meant to keep ``results.csv``
 byte-identical. This test pins that: it runs generate, run and analyze
 on a 2-case 64³ cohort (one hard case that always fails, all four
-modes, 4 samples, seed 7, one worker) and compares ``manifest.json``,
+modes, 4 samples, seed 7) and compares ``manifest.json``,
 ``results.csv``, ``analysis_long.csv`` and ``report.json`` byte for
-byte with the copies under ``tests/data/``. Every mode has 4 scored
-rows, enough for the Tukey fence, so the flags are pinned too.
+byte with the copies under ``tests/data/``, once with the cases run on
+the calling thread (one worker) and once on two case threads. Every
+mode has 4 scored rows, enough for the Tukey fence, so the flags are
+pinned too.
 
 The stored bytes were written with numpy 2.4.6 and scipy 1.17.1; other
 versions may round differently. A change that moves them on purpose
@@ -25,7 +27,7 @@ DATA = Path(__file__).parent / "data"
 PINNED = ("out/results.csv", "out/analysis_long.csv", "out/report.json", "cohort/manifest.json")
 
 
-def run_small_experiment(root: Path) -> None:
+def run_small_experiment(root: Path, workers: int = 1) -> None:
     """Generate, run and analyze the pinned cohort under root."""
     cfg = ExperimentConfig(
         cohort_dir=str(root / "cohort"),
@@ -36,7 +38,7 @@ def run_small_experiment(root: Path) -> None:
         n_samples=4,
         hard_failure_rate=1.0,
         seed=7,
-        workers=1,
+        workers=workers,
     )
     assert cmd_generate(cfg) == EXIT_OK
     assert cmd_run(cfg) == EXIT_OK
@@ -45,10 +47,12 @@ def run_small_experiment(root: Path) -> None:
 
 
 def test_output_bytes_match_pinned_files(tmp_path):
-    run_small_experiment(tmp_path)
-    for rel in PINNED:
-        name = Path(rel).name
-        assert (tmp_path / rel).read_bytes() == (DATA / name).read_bytes(), name
+    for workers in (1, 2):
+        root = tmp_path / f"workers{workers}"
+        run_small_experiment(root, workers)
+        for rel in PINNED:
+            name = Path(rel).name
+            assert (root / rel).read_bytes() == (DATA / name).read_bytes(), (workers, name)
 
 
 if __name__ == "__main__":

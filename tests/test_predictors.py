@@ -309,8 +309,9 @@ class TestOracleLocalize:
             oracle_localize(OracleLocalizerConfig(), TargetPoint((40.0, 1.0, 1.0)), blank())
 
     def test_config_validation(self):
-        with pytest.raises(ValueError):
-            OracleLocalizerConfig(jitter_std=-1.0)
+        for jitter_std in (-1.0, float("nan"), float("inf"), float("-inf")):
+            with pytest.raises(ValueError):
+                OracleLocalizerConfig(jitter_std=jitter_std)
         with pytest.raises(ValueError):
             OracleLocalizerConfig(failure_rate=1.5)
 
