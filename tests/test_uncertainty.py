@@ -446,6 +446,13 @@ def _summary_bytes(s):
     return kept, s.argmax_positions.tobytes(), s.mean_map.data.tobytes(), s.variance_map.data.tobytes(), s.mad, s.final_target
 
 
+def _threads_in_worker(mode):
+    """Run in a case-pool worker: the sampler's thread budget and the threads that drew samples."""
+    loc = ThreadRecordingLocalizer(MarkerLocalizer(OracleLocalizerConfig(jitter_std=0.5)))
+    run_mode(loc, bump((22.0, 25.0, 24.0)), McConfig(mode=mode, n_samples=5, priors=SMALL_PRIORS, keep_samples=False))
+    return uncertainty._sample_threads(5), len(set(loc.thread_of_seed.values()))
+
+
 class TestSamplePool:
     """tta and hybrid draw samples on helper threads; outputs and failures match a serial loop."""
 
@@ -526,6 +533,13 @@ class TestSamplePool:
         loc = ThreadRecordingLocalizer(MarkerLocalizer(OracleLocalizerConfig(jitter_std=1.0)))
         run_mode(loc, bump((22.0, 25.0, 24.0)), McConfig(mode="mcdo", n_samples=6))
         assert set(loc.thread_of_seed.values()) == {threading.get_ident()}
+
+    @pytest.mark.parametrize("mode", ["tta", "hybrid"])
+    def test_process_pool_worker_draws_alone(self, mode):
+        # cmd_run's case pool, once of processes, is now of threads that set DRAW_ALONE
+        with concurrent.futures.ThreadPoolExecutor(1, initializer=uncertainty.DRAW_ALONE.set, initargs=(True,)) as pool:
+            assert pool.submit(_threads_in_worker, mode).result(timeout=120) == (1, 1)
+        assert not uncertainty.DRAW_ALONE.get()
 
 
 class TestThreadContract:
