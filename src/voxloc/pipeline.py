@@ -2,8 +2,10 @@
 
 Stage 1 works on a copy of the scan resampled to ``COARSE_DIMS``:
 segment, binarize each foreground channel, keep the largest
-26-connected component, resample the masks back to the native grid and
-take each component's bounding-box center. Stage 2 crops a
+26-connected component and take the center of the bounding box that
+the component's nearest-neighbour copy on the native grid would have.
+That box is read from the coarse component and the per-axis index
+maps, so no native-grid mask is built. Stage 2 crops a
 ``CROP_EXTENT`` block around each center and runs the localizer in one
 frame for both sides: the left crop is mirrored along axis 0 so it
 shares the right-side orientation. ``SideResult`` owns that crop frame.
@@ -24,7 +26,7 @@ from scipy import ndimage
 
 from voxloc.heatmap import TargetPoint, argmax_position
 from voxloc.predictors import Localizer, Segmenter
-from voxloc.volume import Volume3, VoxelBox, crop_box, downsample_to, flip_lr
+from voxloc.volume import Volume3, VoxelBox, _from_block, _nearest_index, crop_box, downsample_to, flip_lr, support_box
 
 __all__ = [
     "EmptyComponentError",
@@ -133,14 +135,18 @@ def largest_connected_component(mask: Volume3) -> Volume3:
     """Keep only the largest 26-connected foreground component.
 
     Size ties break to the component whose smallest linear index
-    (x-fastest order) is smallest.
+    (x-fastest order) is smallest. Labelling covers only the box around
+    the foreground; x-fastest order inside that box is the whole grid's
+    order restricted to it, so the tie-break is the same.
     """
     binary = mask.data > 0.5
-    if not binary.any():
+    box = support_box(binary)
+    if box is None:
         raise EmptyComponentError("mask has no foreground voxels")
+    binary = binary[box]
     labels, n = ndimage.label(binary, structure=_NEIGHBOURS)
     if n == 1:
-        return mask.with_data(binary.astype(np.float64))
+        return _from_block(binary.astype(np.float64), box, mask.dims, mask.spacing)
     counts = np.bincount(labels.ravel())
     counts[0] = 0
     best_count = counts.max()
@@ -152,7 +158,7 @@ def largest_connected_component(mask: Volume3) -> Volume3:
         first_seen, first_index = np.unique(flat, return_index=True)
         by_label = dict(zip(first_seen.tolist(), first_index.tolist()))
         chosen = min(candidates, key=lambda lab: by_label[lab])
-    return mask.with_data((labels == chosen).astype(np.float64))
+    return _from_block((labels == chosen).astype(np.float64), box, mask.dims, mask.spacing)
 
 
 def bounding_box_center(mask: Volume3) -> tuple[int, int, int]:
@@ -163,6 +169,33 @@ def bounding_box_center(mask: Volume3) -> tuple[int, int, int]:
     center = []
     for axis in range(3):
         hits = np.flatnonzero(binary.any(axis=tuple(a for a in range(3) if a != axis)))
+        center.append(int((hits[0] + hits[-1]) // 2))
+    return tuple(center)
+
+
+def _native_center(component: Volume3, dims) -> tuple[int, int, int]:
+    """``bounding_box_center(downsample_to(component, dims, "nearest"))`` without the native mask.
+
+    Native voxel ``(q0, q1, q2)`` copies coarse voxel ``(m0[q0], m1[q1],
+    m2[q2])``, with ``m_a`` from ``_nearest_index``. Only native voxels
+    whose maps all land in the component's support box can be set, so
+    the box is read from the gather of just those.
+    """
+    box = component.support
+    if box is None:
+        raise EmptyComponentError("mask has no foreground voxels")
+    native, coarse = [], []
+    for axis, span in enumerate(box):
+        m = _nearest_index(component.dims[axis], dims[axis])
+        q = np.flatnonzero((m >= span.start) & (m < span.stop))
+        native.append(q)
+        coarse.append(m[q])
+    block = component.data[np.ix_(*coarse)] > 0.5
+    if not block.any():
+        raise EmptyComponentError("mask has no foreground voxels on the native grid")
+    center = []
+    for axis, q in enumerate(native):
+        hits = q[block.any(axis=tuple(a for a in range(3) if a != axis))]
         center.append(int((hits[0] + hits[-1]) // 2))
     return tuple(center)
 
@@ -183,8 +216,7 @@ def _coarse_centers(cfg: PipelineConfig, image: Volume3, timings: dict) -> dict[
             component = largest_connected_component(prob.with_data((prob.data >= 0.5).astype(np.float64)))
         except EmptyComponentError:
             continue
-        full = downsample_to(component, image.dims, interpolation="nearest")
-        centers[side] = bounding_box_center(full)
+        centers[side] = _native_center(component, image.dims)
     timings["components"] = (time.perf_counter() - t0) * 1e3
 
     # orientation guard: the left structure has the smaller axis-0 center

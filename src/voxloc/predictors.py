@@ -389,9 +389,8 @@ class MarkerLocalizer(_TwoStageLocalizer):
         self.cfg = cfg
 
     def detect(self, v: Volume3) -> TargetPoint:
-        data = v.data.astype(np.float64, copy=False)
         sigma_vox = [_MARKER_SMOOTH_SIGMA_MM / s for s in v.spacing]
-        smooth = ndimage.gaussian_filter(data, sigma=sigma_vox, mode="nearest")
+        smooth = ndimage.gaussian_filter(v.data, sigma=sigma_vox, mode="nearest", output=np.float64)
         idx = np.unravel_index(int(np.argmax(smooth.ravel(order="F"))), v.dims, order="F")
         r = _MARKER_REFINE_RADIUS
         lo = [max(0, idx[a] - r) for a in range(3)]

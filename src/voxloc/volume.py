@@ -128,8 +128,20 @@ class VoxelBox:
 # ---------------------------------------------------------------------------
 
 
+def _positions(n_in: int, n_out: int) -> np.ndarray:
+    # fractional input index sampled by each output voxel along one axis
+    return np.arange(n_out, dtype=np.float64) * (n_in / n_out)
+
+
+def _nearest_index(n_in: int, n_out: int) -> np.ndarray:
+    """Input index that each output voxel reads along one axis under nearest resampling."""
+    return np.clip(np.rint(_positions(n_in, n_out)).astype(np.int64), 0, n_in - 1)
+
+
 def _interp_axis_linear(arr: np.ndarray, pos: np.ndarray, axis: int) -> np.ndarray:
-    # Linear interpolation along one axis at fractional index positions.
+    # Linear interpolation along one axis at fractional index positions,
+    # accumulated in float64 whatever the input dtype (the promotion is
+    # exact, so the bits equal those of a float64 copy of the input).
     # Positions are clamped first so out-of-range reads return the exact
     # edge voxel value (no arithmetic on the padded side).
     n = arr.shape[axis]
@@ -141,13 +153,9 @@ def _interp_axis_linear(arr: np.ndarray, pos: np.ndarray, axis: int) -> np.ndarr
     shape = [1, 1, 1]
     shape[axis] = pos.size
     w = frac.reshape(shape)
-    return np.take(arr, lo, axis=axis) * (1.0 - w) + np.take(arr, hi, axis=axis) * w
-
-
-def _take_axis_nearest(arr: np.ndarray, pos: np.ndarray, axis: int) -> np.ndarray:
-    n = arr.shape[axis]
-    idx = np.clip(np.rint(pos).astype(np.int64), 0, n - 1)
-    return np.take(arr, idx, axis=axis)
+    out = np.multiply(np.take(arr, lo, axis=axis), 1.0 - w, dtype=np.float64)
+    out += np.multiply(np.take(arr, hi, axis=axis), w, dtype=np.float64)
+    return out
 
 
 def downsample_to(v: Volume3, dims, interpolation: str = "trilinear") -> Volume3:
@@ -156,9 +164,10 @@ def downsample_to(v: Volume3, dims, interpolation: str = "trilinear") -> Volume3
     Output spacing is ``dims_in * spacing_in / dims_out`` per axis, and
     output voxel ``q`` samples the input at fractional index
     ``q * dims_in / dims_out``, so coarse-grid coordinates map back to the
-    input grid by pure scaling. Works in both directions; the pipeline
-    also uses it with ``interpolation="nearest"`` to carry masks back to
-    the full-resolution grid.
+    input grid by pure scaling. Works in both directions. Trilinear
+    sampling computes in float64; nearest sampling copies input values
+    (the segmenter uses it to bring masks onto the coarse grid). The
+    output keeps the input's dtype.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 1 for d in dims):
@@ -168,13 +177,12 @@ def downsample_to(v: Volume3, dims, interpolation: str = "trilinear") -> Volume3
     out_spacing = tuple(v.dims[a] * v.spacing[a] / dims[a] for a in range(3))
     # Axis-separable resampling: the grid mapping is axis-aligned, so one
     # 1-D interpolation pass per axis reproduces full trilinear sampling.
-    out = v.data.astype(np.float64, copy=False)
+    out = v.data
     for axis in range(3):
-        positions = np.arange(dims[axis], dtype=np.float64) * (v.dims[axis] / dims[axis])
         if interpolation == "trilinear":
-            out = _interp_axis_linear(out, positions, axis)
+            out = _interp_axis_linear(out, _positions(v.dims[axis], dims[axis]), axis)
         else:
-            out = _take_axis_nearest(out, positions, axis)
+            out = np.take(out, _nearest_index(v.dims[axis], dims[axis]), axis=axis)
     return Volume3(out.astype(v.data.dtype, copy=False), out_spacing)
 
 

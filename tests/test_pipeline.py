@@ -1,7 +1,12 @@
 """Tests for the two-stage localization pipeline."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy import ndimage
 
 from voxloc.heatmap import HeatmapSpec, TargetPoint, gaussian_heatmap
 from voxloc.phantom import PhantomSpec, generate_phantom
@@ -11,13 +16,14 @@ from voxloc.pipeline import (
     PipelineConfig,
     PipelineFailureError,
     SIDES,
+    _native_center,
     bounding_box_center,
     largest_connected_component,
     run_pipeline,
 )
 from voxloc.predictors import ConvNetLocalizer, ConvNetSpec, MarkerLocalizer, OracleLocalizerConfig, TruthMaskSegmenter
 from voxloc.uncertainty import McConfig, run_mode
-from voxloc.volume import Volume3, downsample_to, flip_lr
+from voxloc.volume import Volume3, downsample_to, flip_lr, support_box
 
 SP = (1.0, 1.0, 1.0)
 
@@ -108,6 +114,70 @@ class TestLargestConnectedComponent:
             largest_connected_component(Volume3(np.zeros((4, 4, 4)), SP))
 
 
+def full_grid_largest(mask: Volume3) -> Volume3:
+    """``largest_connected_component`` as first written: labels the whole grid."""
+    binary = mask.data > 0.5
+    if not binary.any():
+        raise EmptyComponentError("mask has no foreground voxels")
+    labels, n = ndimage.label(binary, structure=ndimage.generate_binary_structure(3, 3))
+    if n == 1:
+        return mask.with_data(binary.astype(np.float64))
+    counts = np.bincount(labels.ravel())
+    counts[0] = 0
+    candidates = np.flatnonzero(counts == counts.max())
+    if len(candidates) == 1:
+        chosen = candidates[0]
+    else:
+        first_seen, first_index = np.unique(labels.ravel(order="F"), return_index=True)
+        by_label = dict(zip(first_seen.tolist(), first_index.tolist()))
+        chosen = min(candidates, key=lambda lab: by_label[lab])
+    return mask.with_data((labels == chosen).astype(np.float64))
+
+
+@st.composite
+def masks(draw, max_side):
+    """Boolean masks: random fill, one voxel, a block on a face, or two copies of one pattern (size ties)."""
+    shape = draw(st.tuples(*[st.integers(1, max_side)] * 3))
+    kind = draw(st.sampled_from(["random", "voxel", "face", "twins"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    mask = np.zeros(shape, dtype=bool)
+    if kind == "random":
+        mask = rng.random(shape) < draw(st.floats(0.0, 0.6))
+    elif kind == "voxel":
+        mask[tuple(rng.integers(0, n) for n in shape)] = True
+    else:
+        # a random block, or two copies of one pattern; "face" pushes the first block against a face
+        ext = [int(rng.integers(1, (n if kind == "face" else (n + 1) // 2) + 1)) for n in shape]
+        pattern = rng.random(ext) < 0.7
+        for copy in range(1 if kind == "face" else 2):
+            low = [int(rng.integers(0, n - e + 1)) for n, e in zip(shape, ext)]
+            if kind == "face":
+                axis = int(rng.integers(3))
+                low[axis] = 0 if rng.random() < 0.5 else shape[axis] - ext[axis]
+            mask[tuple(slice(lo, lo + e) for lo, e in zip(low, ext))] |= pattern
+    return mask
+
+
+class TestBoxBoundedLabelling:
+    """Labelling only the foreground's box keeps the whole grid's component and tie-break."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(mask=masks(max_side=12))
+    def test_matches_full_grid_reference(self, mask):
+        v = Volume3(mask.astype(np.float64), (1.0, 2.0, 0.5))
+        if not mask.any():
+            for fn in (largest_connected_component, full_grid_largest):
+                with pytest.raises(EmptyComponentError):
+                    fn(v)
+            return
+        out = largest_connected_component(v)
+        ref = full_grid_largest(v)
+        assert out.data.dtype == ref.data.dtype
+        assert out.spacing == ref.spacing
+        assert out.data.tobytes() == ref.data.tobytes()
+        assert out.support == support_box(ref.data)
+
+
 class TestBoundingBoxCenter:
     def test_single_voxel(self):
         mask = np.zeros((10, 10, 10))
@@ -127,6 +197,40 @@ class TestBoundingBoxCenter:
     def test_empty_mask_rejected(self):
         with pytest.raises(EmptyComponentError):
             bounding_box_center(Volume3(np.zeros((4, 4, 4)), SP))
+
+
+class TestNativeCenter:
+    """Stage 1 reads the native-grid bounding-box centre from the coarse component."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        mask=masks(max_side=20),
+        native=st.tuples(*[st.integers(1, 40)] * 3),
+        from_labelling=st.booleans(),
+    )
+    def test_matches_center_of_nearest_resampled_mask(self, mask, native, from_labelling):
+        component = Volume3(mask.astype(np.float64), SP)
+        if from_labelling and mask.any():
+            component = largest_connected_component(component)  # support seeded from its block
+        try:
+            expected = bounding_box_center(downsample_to(component, native, interpolation="nearest"))
+        except EmptyComponentError:
+            with pytest.raises(EmptyComponentError):
+                _native_center(component, native)
+            return
+        assert _native_center(component, native) == expected
+
+    def test_empty_native_mask_escapes_the_pipeline(self):
+        class OffGridSegmenter:
+            def predict(self, v):
+                prob = np.zeros(v.dims)
+                prob[10, 10, 10] = 1.0
+                return Volume3(1.0 - prob, v.spacing), Volume3(prob, v.spacing), Volume3(prob, v.spacing)
+
+        cfg = PipelineConfig(OffGridSegmenter(), MarkerLocalizer(OracleLocalizerConfig()))
+        # an 80-voxel coarse axis read by 2 native voxels samples coarse indices 0 and 40 only
+        with pytest.raises(EmptyComponentError):
+            run_pipeline(cfg, Volume3(np.zeros((2, 2, 2)), SP))
 
 
 class SwappedSegmenter:
@@ -239,6 +343,22 @@ class TestPipelineEndToEnd:
         for side in SIDES:
             assert a.sides[side].target.position == b.sides[side].target.position
             np.testing.assert_array_equal(a.sides[side].heatmap.data, b.sides[side].heatmap.data)
+
+
+class TestStage1Memory:
+    def test_peak_of_one_run_on_a_128_cube(self):
+        # numpy reports its buffers to tracemalloc; a native-grid float64 mask
+        # or a float64 copy of the scan is 16 MiB each at 128^3
+        case = generate_phantom(PhantomSpec(dims=(128, 128, 128)))
+        cfg = make_config(case)
+        run_pipeline(cfg, case.image)
+        tracemalloc.start()
+        try:
+            run_pipeline(cfg, case.image)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40 * 2**20
 
 
 class TestCoordinateMapping:

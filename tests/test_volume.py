@@ -191,6 +191,51 @@ class TestDownsampleTo:
         assert set(np.unique(out.data)) <= {0.0, 1.0}
 
 
+def float64_first_downsample(v: Volume3, dims, interpolation: str) -> np.ndarray:
+    """``downsample_to`` as first written: a float64 copy of the input, one pass per axis, cast back."""
+    out = v.data.astype(np.float64)
+    for axis in range(3):
+        n = out.shape[axis]
+        pos = np.arange(dims[axis], dtype=np.float64) * (v.dims[axis] / dims[axis])
+        if interpolation == "nearest":
+            out = np.take(out, np.clip(np.rint(pos).astype(np.int64), 0, n - 1), axis=axis)
+            continue
+        pos = np.clip(pos, 0.0, float(n - 1))
+        lo = np.minimum(np.floor(pos).astype(np.int64), n - 1)
+        hi = np.minimum(lo + 1, n - 1)
+        w = (pos - lo).reshape([-1 if a == axis else 1 for a in range(3)])
+        out = np.take(out, lo, axis=axis) * (1.0 - w) + np.take(out, hi, axis=axis) * w
+    return out.astype(v.data.dtype)
+
+
+class TestDownsampleBytes:
+    """No float64 copy of the input: the output bits are those of casting to float64 first."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        dtype=st.sampled_from([np.float32, np.float64]),
+        interpolation=st.sampled_from(["trilinear", "nearest"]),
+        shape=st.tuples(*[st.integers(1, 12)] * 3),
+        dims=st.tuples(*[st.integers(1, 20)] * 3),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_matches_float64_first_reference(self, dtype, interpolation, shape, dims, seed):
+        rng = np.random.default_rng(seed)
+        v = Volume3((rng.normal(size=shape) * 100.0).astype(dtype), (1.0, 0.5, 2.0))
+        out = downsample_to(v, dims, interpolation=interpolation)
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == float64_first_downsample(v, dims, interpolation).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
+    @pytest.mark.parametrize("dims", [(80, 80, 80), (160, 96, 128)], ids=["down", "up"])
+    def test_stage1_sized_grids(self, dtype, interpolation, dims):
+        v = Volume3(smooth_volume((128, 128, 128)).data.astype(dtype), (1.0, 1.0, 1.0))
+        out = downsample_to(v, dims, interpolation=interpolation)
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == float64_first_downsample(v, dims, interpolation).tobytes()
+
+
 class TestCropBox:
     def test_center_block_exact_copy(self):
         rng = np.random.default_rng(2)
