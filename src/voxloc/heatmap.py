@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from voxloc.volume import Volume3, _from_block
+from voxloc.volume import Volume3, _from_block, _support_values
 
 __all__ = [
     "HeatmapSpec",
@@ -121,9 +121,9 @@ def argmax_position(h: Volume3) -> TargetPoint:
     # in the grid's linear order, so the tie-break holds. A NaN in the box
     # (argmax stops there), a box of values <= 0 and an all-zero volume scan
     # the grid.
-    box = h.support
-    if box is not None:
-        block = h.data[box]
+    found = _support_values(h)
+    if found is not None:
+        box, block = found
         flat = block.ravel(order="F")
         idx = int(np.argmax(flat))
         if flat[idx] > 0:

@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from voxloc.heatmap import HeatmapSpec, TargetPoint, gaussian_heatmap
-from voxloc.volume import Volume3, read_volume, rescale_intensity, write_volume
+from voxloc.volume import Volume3, _support_values, read_volume, rescale_intensity, write_volume
 
 __all__ = [
     "InfeasibleSpecError",
@@ -134,15 +134,21 @@ class PhantomCase:
         raise ValueError(f"unknown side {side!r}")
 
 
-def _rho_squared(spec: PhantomSpec, center_mm: np.ndarray) -> np.ndarray:
-    # separable normalized ellipsoid radius, built by broadcast
-    parts = []
+def _rho_squared(spec: PhantomSpec, center_mm: np.ndarray) -> tuple[tuple[slice, slice, slice], np.ndarray]:
+    """The box outside which a structure's edge profile is 0, and its squared normalized radius there.
+
+    Outside the box one axis term alone exceeds ``(1 + EDGE_WIDTH +
+    0.01)**2``, so rho > 1 + EDGE_WIDTH and the profile is exactly 0.0.
+    """
+    box, parts = [], []
     for axis in range(3):
         coords = np.arange(spec.dims[axis], dtype=np.float64) * SPACING[axis]
-        parts.append(((coords - center_mm[axis]) / SEMI_AXES_MM[axis]) ** 2)
-    return (
-        parts[0][:, None, None] + parts[1][None, :, None] + parts[2][None, None, :]
-    )
+        part = ((coords - center_mm[axis]) / SEMI_AXES_MM[axis]) ** 2
+        hit = np.flatnonzero(part <= (1.0 + EDGE_WIDTH + 0.01) ** 2)
+        box.append(slice(int(hit[0]), int(hit[-1]) + 1) if hit.size else slice(0, 0))
+        parts.append(part[box[-1]])
+    # separable, built by broadcast
+    return tuple(box), parts[0][:, None, None] + parts[1][None, :, None] + parts[2][None, None, :]
 
 
 def _edge_profile(rho2: np.ndarray, width: float) -> np.ndarray:
@@ -156,14 +162,17 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
     """Build one phantom deterministically from its spec.
 
     The noise is the only random draw, so the same seed always yields a
-    bitwise-identical case.
+    bitwise-identical case. Each structure's mask and edge profile and
+    each marker are computed on their own box only: outside it they are
+    exactly 0, and the background plus 0.0 is the background.
     """
-    left_c, right_c = spec.structure_centers_mm()
-    rho2_left = _rho_squared(spec, left_c)
-    rho2_right = _rho_squared(spec, right_c)
-
-    left_mask = rho2_left <= 1.0
-    right_mask = rho2_right <= 1.0
+    structures = [_rho_squared(spec, center) for center in spec.structure_centers_mm()]
+    masks = []
+    for box, rho2 in structures:
+        mask = np.zeros(spec.dims, dtype=bool)
+        mask[box] = rho2 <= 1.0
+        masks.append(mask)
+    left_mask, right_mask = masks
     if not left_mask.any() or not right_mask.any():
         raise InfeasibleSpecError("a structure lies outside the volume")
 
@@ -174,17 +183,17 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
         if not all(0 <= i < d for i, d in zip(idx, spec.dims)) or not mask[idx]:
             raise InfeasibleSpecError(f"target {truth.position} fell outside its mask")
 
+    # background + amplitude * max(left, right) profile; rounding is monotone,
+    # so the max of the two structures' levels gives the same bits
     amplitude = STRUCTURE_INTENSITY - BACKGROUND_INTENSITY
-    profile = np.maximum(
-        _edge_profile(rho2_left, EDGE_WIDTH),
-        _edge_profile(rho2_right, EDGE_WIDTH),
-    )
-    img = BACKGROUND_INTENSITY + amplitude * profile
+    img = np.full(spec.dims, BACKGROUND_INTENSITY)
+    for box, rho2 in structures:
+        img[box] = np.maximum(img[box], BACKGROUND_INTENSITY + amplitude * _edge_profile(rho2, EDGE_WIDTH))
 
     marker = HeatmapSpec(sigma_mm=MARKER_SIGMA_MM, cutoff=0.004, peak=1.0)
     for truth in (truth_left, truth_right):
-        bump = gaussian_heatmap(marker, TargetPoint(truth.position), spec.dims, SPACING)
-        img += MARKER_AMPLITUDE * bump.data
+        box, values = _support_values(gaussian_heatmap(marker, TargetPoint(truth.position), spec.dims, SPACING))
+        img[box] += MARKER_AMPLITUDE * values
 
     if spec.noise_std > 0:
         img += np.random.default_rng(spec.seed).normal(0.0, spec.noise_std, spec.dims)

@@ -26,7 +26,9 @@ from scipy import ndimage
 
 from voxloc.heatmap import TargetPoint, argmax_position
 from voxloc.predictors import Localizer, Segmenter
-from voxloc.volume import Volume3, VoxelBox, _from_block, _nearest_index, crop_box, downsample_to, flip_lr, support_box
+from voxloc.volume import (
+    Volume3, VoxelBox, _from_block, _nearest_index, _support_values, crop_box, downsample_to, flip_lr, support_box
+)
 
 __all__ = [
     "EmptyComponentError",
@@ -139,14 +141,18 @@ def largest_connected_component(mask: Volume3) -> Volume3:
     the foreground; x-fastest order inside that box is the whole grid's
     order restricted to it, so the tie-break is the same.
     """
-    binary = mask.data > 0.5
-    box = support_box(binary)
+    return _largest_component(mask.data > 0.5, mask.spacing)
+
+
+def _largest_component(foreground: np.ndarray, spacing) -> Volume3:
+    # largest_connected_component of a boolean foreground grid
+    box = support_box(foreground)
     if box is None:
         raise EmptyComponentError("mask has no foreground voxels")
-    binary = binary[box]
+    binary = foreground[box]
     labels, n = ndimage.label(binary, structure=_NEIGHBOURS)
     if n == 1:
-        return _from_block(binary.astype(np.float64), box, mask.dims, mask.spacing)
+        return _from_block(binary.astype(np.float64), box, foreground.shape, spacing)
     counts = np.bincount(labels.ravel())
     counts[0] = 0
     best_count = counts.max()
@@ -158,7 +164,7 @@ def largest_connected_component(mask: Volume3) -> Volume3:
         first_seen, first_index = np.unique(flat, return_index=True)
         by_label = dict(zip(first_seen.tolist(), first_index.tolist()))
         chosen = min(candidates, key=lambda lab: by_label[lab])
-    return _from_block((labels == chosen).astype(np.float64), box, mask.dims, mask.spacing)
+    return _from_block((labels == chosen).astype(np.float64), box, foreground.shape, spacing)
 
 
 def bounding_box_center(mask: Volume3) -> tuple[int, int, int]:
@@ -181,16 +187,17 @@ def _native_center(component: Volume3, dims) -> tuple[int, int, int]:
     whose maps all land in the component's support box can be set, so
     the box is read from the gather of just those.
     """
-    box = component.support
-    if box is None:
+    found = _support_values(component)
+    if found is None:
         raise EmptyComponentError("mask has no foreground voxels")
+    box, values = found
     native, coarse = [], []
     for axis, span in enumerate(box):
         m = _nearest_index(component.dims[axis], dims[axis])
         q = np.flatnonzero((m >= span.start) & (m < span.stop))
         native.append(q)
-        coarse.append(m[q])
-    block = component.data[np.ix_(*coarse)] > 0.5
+        coarse.append(m[q] - span.start)
+    block = values[np.ix_(*coarse)] > 0.5
     if not block.any():
         raise EmptyComponentError("mask has no foreground voxels on the native grid")
     center = []
@@ -213,7 +220,7 @@ def _coarse_centers(cfg: PipelineConfig, image: Volume3, timings: dict) -> dict[
     centers: dict[str, tuple[int, int, int]] = {}
     for side, prob in (("left", left_prob), ("right", right_prob)):
         try:
-            component = largest_connected_component(prob.with_data((prob.data >= 0.5).astype(np.float64)))
+            component = _largest_component(prob.data >= 0.5, prob.spacing)
         except EmptyComponentError:
             continue
         centers[side] = _native_center(component, image.dims)

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from voxloc.volume import Volume3
+from voxloc.volume import Volume3, _from_block
 
 __all__ = [
     "RigidTransform",
@@ -103,10 +103,11 @@ def rigid_apply(tf: RigidTransform, v: Volume3, interpolation: str = "trilinear"
 
     The cost follows the input's support: when its nonzero ``support``
     touches no face of the grid, only the output block that box can reach
-    is resampled and every other output voxel is exactly 0. An input whose
-    support touches a face (any dense image) or that is all zero takes the
-    full-grid warp, because clamped edge reads can then carry nonzero
-    values anywhere. Both paths give the same bits.
+    is resampled, and the output holds that block (every other voxel is
+    exactly 0) without filling the grid. An input whose support touches a
+    face (any dense image) or that is all zero takes the full-grid warp,
+    because clamped edge reads can then carry nonzero values anywhere.
+    Both paths give the same bits.
     """
     if interpolation not in ("trilinear", "nearest"):
         raise ValueError(f"unknown interpolation {interpolation!r}")
@@ -118,15 +119,14 @@ def rigid_apply(tf: RigidTransform, v: Volume3, interpolation: str = "trilinear"
     block = _mapped_block(tf, v.dims, v.support)
     if block is None:
         out = ndimage.affine_transform(data, rot_inv, offset=offset, order=order, mode="nearest")
-    else:
-        # affine_transform's source coordinates, summed in its order (offset first), on the block only
-        q = np.mgrid[block].astype(np.float64)
-        coords = np.stack(
-            [offset[k] + rot_inv[k, 0] * q[0] + rot_inv[k, 1] * q[1] + rot_inv[k, 2] * q[2] for k in range(3)]
-        )
-        out = np.zeros(v.dims)
-        out[block] = ndimage.map_coordinates(data, coords, order=order, mode="nearest")
-    return Volume3(out.astype(v.data.dtype, copy=False), v.spacing)
+        return Volume3(out.astype(v.data.dtype, copy=False), v.spacing)
+    # affine_transform's source coordinates, summed in its order (offset first), on the block only
+    q = np.mgrid[block].astype(np.float64)
+    coords = np.stack(
+        [offset[k] + rot_inv[k, 0] * q[0] + rot_inv[k, 1] * q[1] + rot_inv[k, 2] * q[2] for k in range(3)]
+    )
+    values = ndimage.map_coordinates(data, coords, order=order, mode="nearest")
+    return _from_block(values.astype(v.data.dtype, copy=False), block, v.dims, v.spacing)
 
 
 def _mapped_block(tf: RigidTransform, dims, box) -> tuple[slice, slice, slice] | None:

@@ -24,16 +24,19 @@ centroid, and the mean distance of the positions from that centroid (the
 dispersion score used for rejection). The final target of a run is the
 argmax of the mean map.
 
-A sample costs its heatmap's support, not the crop: the argmax and the
-two running sums read only its ``Volume3.support`` box, which
-``gaussian_heatmap`` sets from the block it writes (other volumes find
-it once, on first use). In tta and hybrid the warp back also fills only
-the block the box can reach. The mean and variance are computed only
-inside the union of the sample boxes, and the final target's argmax
-scans only that union. A dense heatmap, or one whose support touches a
-face of the crop, gets the whole grid and runs the full passes; an
-all-zero one adds nothing and scans the grid for its argmax. The
-outputs are the same bits as the full passes give.
+A sample costs its heatmap's support, not the crop. ``gaussian_heatmap``
+returns a volume that holds only the block it computes, so an mcdo
+sample never fills or scans the 64^3 grid: the argmax and the two
+running sums read the values in its ``Volume3.support`` box straight
+from that block (a dense volume finds its box once, on first use, and
+reads it from its grid). In tta and hybrid the warp back also computes
+and holds only the block the box can reach. The mean and variance are
+computed only inside the union of the sample boxes and held as that
+block, and the final target's argmax scans only that union. A dense
+heatmap, or one whose support touches a face of the crop, gets the
+whole grid and runs the full passes; an all-zero one adds nothing and
+scans the grid for its argmax. The outputs are the same bits as the
+full passes give.
 
 tta and hybrid draw their samples on the calling thread plus one helper
 thread per further core the process may use, as a sample's warps,
@@ -63,7 +66,7 @@ import numpy as np
 from voxloc.heatmap import TargetPoint, argmax_position
 from voxloc.predictors import Localizer
 from voxloc.transforms import TransformPriors, intensity_apply_inverse, rigid_apply, sample_transform
-from voxloc.volume import Volume3, _from_block
+from voxloc.volume import Volume3, _from_block, _support_values
 
 __all__ = [
     "SamplingError",
@@ -159,9 +162,10 @@ class _Accumulator:
             self.dims = v.dims
         elif v.dims != self.dims:
             raise ValueError(f"sample dims {v.dims} do not match {self.dims}")
-        box = v.support
-        if box is not None:
-            block = v.data[box].astype(np.float64, copy=False)
+        found = _support_values(v)
+        if found is not None:
+            box, block = found
+            block = block.astype(np.float64, copy=False)
             self.total[box] += block
             self.total_sq[box] += block * block
             if self.union is not None:

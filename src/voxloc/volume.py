@@ -46,6 +46,10 @@ class Volume3:
         data: 3-D float array, shape equal to ``dims``. The buffer is
             marked read-only at construction.
         spacing: per-axis voxel spacing in mm, all entries > 0.
+
+    A volume built by ``_from_block`` holds only a block and its box:
+    ``dims``, ``spacing`` and ``support`` come from those, and the dense
+    ``data`` grid is built on its first read and then kept.
     """
 
     data: np.ndarray
@@ -69,7 +73,22 @@ class Volume3:
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.data.shape
+        held = self.__dict__.get("_held")
+        return held[2] if held is not None else self.data.shape
+
+    def __getattr__(self, name):
+        # Only a volume built by _from_block lacks ``data``: its grid is built
+        # on the first read and kept. Threads that read it first at the same
+        # time each store an equal array, as with ``support``.
+        held = self.__dict__.get("_held") if name == "data" else None
+        if held is None:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        block, box, dims = held
+        out = np.zeros(dims, dtype=block.dtype)
+        out[box] = block
+        out.setflags(write=False)
+        object.__setattr__(self, "data", out)
+        return out
 
     def with_data(self, data: np.ndarray) -> "Volume3":
         """Same grid geometry, new voxel values (shape must match)."""
@@ -230,7 +249,15 @@ def crop_box(v: Volume3, box: VoxelBox, pad_value: float = 0.0) -> Volume3:
 
 
 def flip_lr(v: Volume3) -> Volume3:
-    """Mirror the volume along axis 0 (left-right). Involution, bitwise."""
+    """Mirror the volume along axis 0 (left-right). Involution, bitwise.
+
+    A volume built by ``_from_block`` mirrors its block and box only.
+    """
+    held = v.__dict__.get("_held")
+    if held is not None:
+        block, box, dims = held
+        mirrored = (slice(dims[0] - box[0].stop, dims[0] - box[0].start),) + box[1:]
+        return _from_block(block[::-1], mirrored, dims, v.spacing)
     return Volume3(v.data[::-1, :, :].copy(), v.spacing)
 
 
@@ -257,19 +284,32 @@ def support_box(data: np.ndarray) -> tuple[slice, slice, slice] | None:
 
 
 def _from_block(block: np.ndarray, box: tuple[slice, slice, slice], dims, spacing) -> Volume3:
-    """A volume that holds ``block`` on ``box`` and +0.0 elsewhere.
+    """A volume that holds float ``block`` on ``box`` and +0.0 elsewhere, kept as the block.
 
-    Its ``support`` is found from the block alone, so no pass scans the
-    rest of the grid for it.
+    The block becomes read-only and is not copied. ``dims``, ``spacing``
+    and ``support`` come from it, so no pass builds or scans the rest of
+    the grid for them; the dense ``data`` grid is built only when
+    something reads it.
     """
-    out = np.zeros(dims, dtype=block.dtype)
-    out[box] = block
-    v = Volume3(out, spacing)
+    block.setflags(write=False)
     inner = support_box(block) if block.size else None
     if inner is not None:
         inner = tuple(slice(b.start + s.start, b.start + s.stop) for b, s in zip(box, inner))
-    object.__setattr__(v, "_support", inner)
+    v = object.__new__(Volume3)
+    v.__dict__.update(spacing=tuple(float(s) for s in spacing), _held=(block, tuple(box), tuple(dims)), _support=inner)
     return v
+
+
+def _support_values(v: Volume3) -> tuple[tuple[slice, slice, slice], np.ndarray] | None:
+    """``(v.support, v.data[v.support])`` without building a held block's grid; None when all zero."""
+    box = v.support
+    if box is None:
+        return None
+    held = v.__dict__.get("_held")
+    if held is None:
+        return box, v.data[box]
+    block, at, _ = held
+    return box, block[tuple(slice(s.start - a.start, s.stop - a.start) for s, a in zip(box, at))]
 
 
 # ---------------------------------------------------------------------------

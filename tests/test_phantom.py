@@ -5,9 +5,15 @@ import json
 import numpy as np
 import pytest
 
+from voxloc.heatmap import HeatmapSpec, TargetPoint, gaussian_heatmap
 from voxloc.phantom import (
+    BACKGROUND_INTENSITY,
+    EDGE_WIDTH,
+    MARKER_AMPLITUDE,
+    MARKER_SIGMA_MM,
     SEMI_AXES_MM,
     SPACING,
+    STRUCTURE_INTENSITY,
     InfeasibleSpecError,
     PhantomSpec,
     cohort_case_spec,
@@ -17,7 +23,7 @@ from voxloc.phantom import (
     load_case_volumes,
     write_cohort,
 )
-from voxloc.volume import Volume3, downsample_to
+from voxloc.volume import Volume3, downsample_to, rescale_intensity
 
 SMALL = PhantomSpec(dims=(96, 96, 96))
 
@@ -124,6 +130,52 @@ class TestGeneratePhantom:
         assert case.truth("right") is case.truth_right
         with pytest.raises(ValueError):
             case.truth("up")
+
+
+def full_grid_phantom(spec: PhantomSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(image, left mask, right mask) from the formulas evaluated on the whole grid."""
+    rho2 = []
+    for center in spec.structure_centers_mm():
+        parts = [
+            ((np.arange(n, dtype=np.float64) * SPACING[a] - center[a]) / SEMI_AXES_MM[a]) ** 2
+            for a, n in enumerate(spec.dims)
+        ]
+        rho2.append(parts[0][:, None, None] + parts[1][None, :, None] + parts[2][None, None, :])
+
+    def profile(r2):
+        t = np.clip((np.sqrt(r2) - (1.0 - EDGE_WIDTH)) / (2.0 * EDGE_WIDTH), 0.0, 1.0)
+        return 0.5 * (1.0 + np.cos(np.pi * t))
+
+    amplitude = STRUCTURE_INTENSITY - BACKGROUND_INTENSITY
+    img = BACKGROUND_INTENSITY + amplitude * np.maximum(profile(rho2[0]), profile(rho2[1]))
+    marker = HeatmapSpec(sigma_mm=MARKER_SIGMA_MM, cutoff=0.004, peak=1.0)
+    for truth in spec.target_positions():
+        img += MARKER_AMPLITUDE * gaussian_heatmap(marker, TargetPoint(truth.position), spec.dims, SPACING).data
+    if spec.noise_std > 0:
+        img += np.random.default_rng(spec.seed).normal(0.0, spec.noise_std, spec.dims)
+    image = rescale_intensity(Volume3(img, SPACING)).data.astype(np.float32)
+    return image, (rho2[0] <= 1.0).astype(np.float32), (rho2[1] <= 1.0).astype(np.float32)
+
+
+class TestBoxedPhantom:
+    """Profiles, masks and markers computed on their boxes give the whole grid's bytes."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            cohort_case_spec(0, 3, PhantomSpec(dims=(96, 96, 96)), hard=False),
+            cohort_case_spec(1, 5, PhantomSpec(dims=(80, 72, 96)), hard=True),
+            # 3.5 mm from axis 0's faces: both ellipsoids and their boxes are cut by the grid
+            PhantomSpec(dims=(64, 70, 66), ventricle_enlargement_mm=12.0, noise_std=0.05, seed=4),
+        ],
+        ids=["easy", "hard", "clipped"],
+    )
+    def test_matches_full_grid_formulas(self, spec):
+        case = generate_phantom(spec)
+        image, left, right = full_grid_phantom(spec)
+        assert case.image.data.tobytes() == image.tobytes()
+        assert case.left_mask.data.tobytes() == left.tobytes()
+        assert case.right_mask.data.tobytes() == right.tobytes()
 
 
 class TestMaskRoundtrip:

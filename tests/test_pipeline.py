@@ -16,6 +16,7 @@ from voxloc.pipeline import (
     PipelineConfig,
     PipelineFailureError,
     SIDES,
+    _coarse_centers,
     _native_center,
     bounding_box_center,
     largest_connected_component,
@@ -231,6 +232,22 @@ class TestNativeCenter:
         # an 80-voxel coarse axis read by 2 native voxels samples coarse indices 0 and 40 only
         with pytest.raises(EmptyComponentError):
             run_pipeline(cfg, Volume3(np.zeros((2, 2, 2)), SP))
+
+
+class TestComponentLevel:
+    def test_channel_value_of_one_half_is_foreground(self):
+        # a large block at exactly 0.5 outweighs a small one at 0.96; a level of > 0.5 would keep the small one
+        class HalfLevelSegmenter:
+            def predict(self, v):
+                left, right = np.zeros(v.dims), np.zeros(v.dims)
+                left[5:25, 5:25, 5:25] = 0.5
+                left[50:54, 50:54, 50:54] = 0.96
+                right[60:70, 30:40, 30:40] = 0.5
+                return Volume3(1.0 - left - right, v.spacing), Volume3(left, v.spacing), Volume3(right, v.spacing)
+
+        cfg = PipelineConfig(HalfLevelSegmenter(), MarkerLocalizer(OracleLocalizerConfig()))
+        centers = _coarse_centers(cfg, Volume3(np.zeros(COARSE_DIMS), SP), {})
+        assert centers == {"left": (14, 14, 14), "right": (64, 34, 34)}
 
 
 class SwappedSegmenter:

@@ -5,6 +5,7 @@ import json
 import math
 import sys
 import threading
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -243,6 +244,25 @@ class TestRunMcdo:
             run_mcdo(Flaky(), blank((8, 8, 8)), cfg)
         except SamplingError as err:
             assert err.index == 3
+
+
+class TestSampleMemory:
+    def test_peak_of_one_mcdo_row_keeping_its_samples(self):
+        # a sample holds its Gaussian block, not a 2 MiB 64^3 float64 grid; the
+        # bound is four such grids (the running sums take two)
+        crop = Volume3(bump((30.0, 33.0, 29.0), dims=(64, 64, 64)).data.astype(np.float32), SP)
+        loc = MarkerLocalizer(OracleLocalizerConfig(jitter_std=1.0))
+        cfg = McConfig(mode="mcdo", n_samples=32, keep_samples=True)
+        state = loc.prepare(crop)  # as cmd_run passes the pipeline's state
+        run_mode(loc, crop, cfg, state=state)
+        tracemalloc.start()
+        try:
+            s = run_mode(loc, crop, cfg, state=state)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(s.sample_heatmaps) == 32
+        assert peak < 8 * 2**20
 
 
 class TestRunTta:

@@ -12,9 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxloc.heatmap import argmax_position
+from voxloc.transforms import TransformPriors, rigid_apply, sample_transform
+from voxloc.uncertainty import mean_variance
 from voxloc.volume import (
     Volume3,
     VoxelBox,
+    _from_block,
+    _support_values,
     crop_box,
     downsample_to,
     flip_lr,
@@ -359,6 +364,105 @@ class TestCachedSupport:
                     v = Volume3(data.copy(), (1, 1, 1))
                     assert list(pool.map(lambda _: v.support, range(12), timeout=30)) == [expected] * 12
                     assert v.__dict__["_support"] == expected
+        finally:
+            sys.setswitchinterval(old)
+
+
+@st.composite
+def held_blocks(draw):
+    """(block, box, dims) with boxes that may be empty or touch faces, and blocks of
+    random values or only zeros, -0.0 or NaN."""
+    dims = draw(st.tuples(*[st.integers(1, 9)] * 3))
+    box = []
+    for n in dims:
+        lo = draw(st.integers(0, n))
+        box.append(slice(lo, draw(st.integers(lo, n))))
+    shape = tuple(s.stop - s.start for s in box)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    kind = draw(st.sampled_from(["random", "zeros", "negative-zero", "nan", "mixed"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    block = {
+        "random": lambda: rng.normal(size=shape) * (rng.random(shape) < 0.6),
+        "zeros": lambda: np.zeros(shape),
+        "negative-zero": lambda: np.full(shape, -0.0),
+        "nan": lambda: np.full(shape, np.nan),
+        "mixed": lambda: rng.choice([0.0, -0.0, np.nan, 1.5, -2.0], size=shape),
+    }[kind]().astype(dtype)
+    return block, tuple(box), dims
+
+
+def dense_twin(block, box, dims):
+    data = np.zeros(dims, dtype=block.dtype)
+    data[box] = block
+    return Volume3(data, (1.0, 2.0, 0.5))
+
+
+def outcome(fn, *args):
+    """fn's result, or the type of the exception it raised."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc)
+
+
+class TestBlockHeld:
+    """A volume built by ``_from_block`` holds its block and behaves as its dense twin."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(held=held_blocks(), seed=st.integers(0, 1000))
+    def test_matches_dense_twin(self, held, seed):
+        block, box, dims = held
+        ref = dense_twin(block, box, dims)
+        v = _from_block(block.copy(), box, dims, ref.spacing)
+        assert isinstance(v, Volume3)
+        assert (v.dims, v.spacing, v.support) == (ref.dims, ref.spacing, support_box(ref.data))
+        assert "data" not in v.__dict__  # dims, spacing and support build no grid
+        found, expected = _support_values(v), _support_values(ref)
+        assert (found is None) == (expected is None)
+        if found is not None:
+            assert found[0] == expected[0]
+            assert found[1].tobytes() == expected[1].tobytes()
+        assert "data" not in v.__dict__
+        assert v.data.dtype == ref.data.dtype
+        assert v.data.tobytes() == ref.data.tobytes()
+        assert not v.data.flags.writeable
+        assert v.data is v.data  # built once, then kept
+
+        v = _from_block(block.copy(), box, dims, ref.spacing)
+        flipped = flip_lr(v)
+        assert "data" not in flipped.__dict__
+        assert flipped.support == support_box(flip_lr(ref).data)
+        assert flipped.data.tobytes() == flip_lr(ref).data.tobytes()
+        assert flip_lr(flipped).data.tobytes() == ref.data.tobytes()
+
+        assert outcome(argmax_position, v) == outcome(argmax_position, ref)
+        tf, _ = sample_transform(TransformPriors(), seed)
+        assert rigid_apply(tf, v).data.tobytes() == rigid_apply(tf, ref).data.tobytes()
+        for got, want in zip(mean_variance([v, flipped, v]), mean_variance([ref, flip_lr(ref), ref])):
+            assert got.data.tobytes() == want.data.tobytes()
+
+    def test_block_becomes_read_only(self):
+        block = np.ones((2, 2, 2))
+        v = _from_block(block, (slice(1, 3),) * 3, (4, 4, 4), (1, 1, 1))
+        with pytest.raises(ValueError):
+            block[0, 0, 0] = 2.0
+        with pytest.raises(ValueError):
+            v.data[1, 1, 1] = 2.0
+
+    def test_first_data_read_from_many_threads_agrees(self):
+        # each first read builds and stores an equal grid; no lock is needed
+        block = np.arange(1.0, 1.0 + 6 * 5 * 7).reshape(6, 5, 7)
+        box = (slice(3, 9), slice(10, 15), slice(0, 7))
+        expected = dense_twin(block, box, (24, 20, 28)).data.tobytes()
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ThreadPoolExecutor(6) as pool:
+                for _ in range(40):
+                    v = _from_block(block.copy(), box, (24, 20, 28), (1, 1, 1))
+                    reads = list(pool.map(lambda _: v.data, range(12), timeout=30))
+                    assert all(r.tobytes() == expected and not r.flags.writeable for r in reads)
+                    assert v.__dict__["data"].tobytes() == expected
         finally:
             sys.setswitchinterval(old)
 
