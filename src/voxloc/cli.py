@@ -90,7 +90,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             cohort_dir=str(args.out) if args.out else None,
             n_cases=args.n,
             n_hard=args.n_hard,
-            dims=_dims_triple(args.dims) if args.dims else None,
+            dims=_dims_triple(args.dims) if args.dims is not None else None,
         )
         return cmd_generate(cfg)
     if args.command == "run":
@@ -100,7 +100,7 @@ def _dispatch(args: argparse.Namespace) -> int:
             cohort_dir=str(args.cohort) if args.cohort else None,
             out_dir=str(args.out) if args.out else None,
             workers=args.workers,
-            modes=_parse_modes(args.modes) if args.modes else None,
+            modes=_parse_modes(args.modes) if args.modes is not None else None,
             n_samples=args.n_samples,
         )
         return cmd_run(cfg)

@@ -152,8 +152,9 @@ class ExperimentConfig:
         for name, value in ints.items():
             if not isinstance(value, int) or isinstance(value, bool):
                 raise UsageError(f"{name} must be an integer, got {value!r}")
-        if self.seed < 0:
-            raise UsageError(f"seed must be >= 0, got {self.seed}")
+        for name in ("seed", "n_hard"):
+            if getattr(self, name) < 0:
+                raise UsageError(f"{name} must be >= 0, got {getattr(self, name)}")
         object.__setattr__(self, "dims", tuple(self.dims))
         with _config_field("modes"):
             object.__setattr__(self, "modes", tuple(self.modes))

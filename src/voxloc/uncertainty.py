@@ -28,14 +28,13 @@ A sample costs its heatmap's support, not the crop. ``gaussian_heatmap``
 returns a volume that holds only the block it computes, so an mcdo
 sample never fills or scans the 64^3 grid: the argmax and the two
 running sums read the values in its ``Volume3.support`` box straight
-from that block (a dense volume finds its box once, on first use, and
-reads it from its grid). In tta and hybrid the warp back also computes
-and holds only the block the box can reach. The mean and variance are
+from that block. In tta and hybrid the warp back also computes and
+holds only the block the box can reach. The mean and variance are
 computed only inside the union of the sample boxes and held as that
-block, and the final target's argmax scans only that union. A dense
-heatmap, or one whose support touches a face of the crop, gets the
-whole grid and runs the full passes; an all-zero one adds nothing and
-scans the grid for its argmax. The outputs are the same bits as the
+block, and the final target's argmax scans only that union. A heatmap
+that fills the crop, or one whose support touches a face of it, gets
+the whole grid and runs the full passes; an all-zero one adds nothing
+and scans the grid for its argmax. The outputs are the same bits as the
 full passes give.
 
 tta and hybrid draw their samples on the calling thread plus one helper

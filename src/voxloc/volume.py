@@ -1,4 +1,4 @@
-"""Dense 3-D scalar volumes on a regular anisotropic grid.
+"""3-D scalar volumes on a regular anisotropic grid.
 
 Conventions used throughout the package:
 
@@ -40,16 +40,17 @@ AXIS0_CONVENTION = "LR"
 
 @dataclass(frozen=True)
 class Volume3:
-    """An immutable dense scalar volume with voxel spacing in mm.
+    """An immutable scalar volume with voxel spacing in mm.
 
     Attributes:
         data: 3-D float array, shape equal to ``dims``. The buffer is
             marked read-only at construction.
         spacing: per-axis voxel spacing in mm, all entries > 0.
 
-    A volume built by ``_from_block`` holds only a block and its box:
-    ``dims``, ``spacing`` and ``support`` come from those, and the dense
-    ``data`` grid is built on its first read and then kept.
+    Every volume holds a read-only block on a box of its ``dims`` grid
+    and is +0.0 outside it. The constructor's block is the whole grid;
+    ``_from_block`` holds a smaller one. ``data`` and ``support`` are
+    built from the block on their first read and then kept.
     """
 
     data: np.ndarray
@@ -68,25 +69,21 @@ class Volume3:
             raise ValueError(f"spacing must be three positive reals, got {self.spacing}")
         arr = arr.copy() if not arr.flags.owndata or arr.base is not None else arr
         arr.setflags(write=False)
-        object.__setattr__(self, "data", arr)
-        object.__setattr__(self, "spacing", spacing)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        held = self.__dict__.get("_held")
-        return held[2] if held is not None else self.data.shape
+        del self.__dict__["data"]  # built from the block on first read, as for every volume
+        self.__dict__.update(spacing=spacing, dims=arr.shape, _block=arr, _box=tuple(slice(0, n) for n in arr.shape))
 
     def __getattr__(self, name):
-        # Only a volume built by _from_block lacks ``data``: its grid is built
-        # on the first read and kept. Threads that read it first at the same
-        # time each store an equal array, as with ``support``.
-        held = self.__dict__.get("_held") if name == "data" else None
-        if held is None:
+        # ``data`` is built on the first read and kept. Threads that read it
+        # first at the same time each store an equal array, as with ``support``.
+        if name != "data":
             raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
-        block, box, dims = held
-        out = np.zeros(dims, dtype=block.dtype)
-        out[box] = block
-        out.setflags(write=False)
+        block = self._block
+        if block.shape == self.dims:
+            out = block
+        else:
+            out = np.zeros(self.dims, dtype=block.dtype)
+            out[self._box] = block
+            out.setflags(write=False)
         object.__setattr__(self, "data", out)
         return out
 
@@ -102,18 +99,19 @@ class Volume3:
 
     @property
     def support(self) -> tuple[slice, slice, slice] | None:
-        """``support_box(self.data)``, found on first use and then kept.
+        """``support_box(self.data)``, found from the block on first use and then kept.
 
-        The buffer is read-only, so the box cannot go stale. A volume
-        built by ``_from_block`` has it from its block alone. Threads that
+        The block is read-only, so the box cannot go stale. Threads that
         read it first at the same time each store the same box.
         """
         try:
             return self.__dict__["_support"]
         except KeyError:
-            box = support_box(self.data)
-            object.__setattr__(self, "_support", box)
-            return box
+            inner = support_box(self._block) if self._block.size else None
+            if inner is not None:
+                inner = tuple(slice(b.start + s.start, b.start + s.stop) for b, s in zip(self._box, inner))
+            object.__setattr__(self, "_support", inner)
+            return inner
 
 
 @dataclass(frozen=True)
@@ -251,14 +249,11 @@ def crop_box(v: Volume3, box: VoxelBox, pad_value: float = 0.0) -> Volume3:
 def flip_lr(v: Volume3) -> Volume3:
     """Mirror the volume along axis 0 (left-right). Involution, bitwise.
 
-    A volume built by ``_from_block`` mirrors its block and box only.
+    Only the block and its box are mirrored; the block is a C-ordered copy.
     """
-    held = v.__dict__.get("_held")
-    if held is not None:
-        block, box, dims = held
-        mirrored = (slice(dims[0] - box[0].stop, dims[0] - box[0].start),) + box[1:]
-        return _from_block(block[::-1], mirrored, dims, v.spacing)
-    return Volume3(v.data[::-1, :, :].copy(), v.spacing)
+    n, box = v.dims[0], v._box
+    mirrored = (slice(n - box[0].stop, n - box[0].start),) + box[1:]
+    return _from_block(v._block[::-1].copy(), mirrored, v.dims, v.spacing)
 
 
 def support_box(data: np.ndarray) -> tuple[slice, slice, slice] | None:
@@ -284,32 +279,23 @@ def support_box(data: np.ndarray) -> tuple[slice, slice, slice] | None:
 
 
 def _from_block(block: np.ndarray, box: tuple[slice, slice, slice], dims, spacing) -> Volume3:
-    """A volume that holds float ``block`` on ``box`` and +0.0 elsewhere, kept as the block.
+    """A volume that holds float ``block`` on ``box`` and +0.0 elsewhere.
 
-    The block becomes read-only and is not copied. ``dims``, ``spacing``
-    and ``support`` come from it, so no pass builds or scans the rest of
-    the grid for them; the dense ``data`` grid is built only when
-    something reads it.
+    The block becomes read-only and is not copied. Nothing is scanned
+    or filled here: ``support`` and ``data`` are built on first read.
     """
     block.setflags(write=False)
-    inner = support_box(block) if block.size else None
-    if inner is not None:
-        inner = tuple(slice(b.start + s.start, b.start + s.stop) for b, s in zip(box, inner))
     v = object.__new__(Volume3)
-    v.__dict__.update(spacing=tuple(float(s) for s in spacing), _held=(block, tuple(box), tuple(dims)), _support=inner)
+    v.__dict__.update(spacing=tuple(float(s) for s in spacing), dims=tuple(dims), _block=block, _box=tuple(box))
     return v
 
 
 def _support_values(v: Volume3) -> tuple[tuple[slice, slice, slice], np.ndarray] | None:
-    """``(v.support, v.data[v.support])`` without building a held block's grid; None when all zero."""
+    """``(v.support, v.data[v.support])`` read from the block, so no grid is built; None when all zero."""
     box = v.support
     if box is None:
         return None
-    held = v.__dict__.get("_held")
-    if held is None:
-        return box, v.data[box]
-    block, at, _ = held
-    return box, block[tuple(slice(s.start - a.start, s.stop - a.start) for s, a in zip(box, at))]
+    return box, v._block[tuple(slice(s.start - a.start, s.stop - a.start) for s, a in zip(box, v._box))]
 
 
 # ---------------------------------------------------------------------------

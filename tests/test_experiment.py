@@ -568,6 +568,10 @@ class TestCli:
             (["run"], {"shift_range_mm": [float("-inf"), 5]}, "shift_range_mm"),
             (["run"], {"curve_range": [0.25, float("nan")]}, "curve_range"),
             (["run"], {"shift_range_mm": [-(10**400), 5]}, "shift_range_mm"),
+            (["generate", "--n", "3", "--n-hard", "-1", "--dims", "64,64,64"], {}, "n_hard"),
+            (["generate", "--n", "3", "--dims", "64,64,64"], {"n_hard": -1}, "n_hard"),
+            (["run", "--modes", ""], {}, "modes"),
+            (["generate", "--n", "1", "--dims", ""], {}, "dims"),
         ],
         ids=[
             "dims-below-64",
@@ -589,6 +593,10 @@ class TestCli:
             "negative-infinite-shift-range",
             "nan-curve-range",
             "float-overflowing-shift-range",
+            "negative-n-hard",
+            "config-negative-n-hard",
+            "empty-modes",
+            "empty-dims",
         ],
     )
     def test_invalid_request_is_one_line_usage_error(self, tmp_path, capsys, argv, config, field):

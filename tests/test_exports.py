@@ -74,3 +74,28 @@ def test_one_process_one_parallelism_mechanism():
     # case workers are threads of one process, so a per-run trace or replay needs no cross-process merge
     found = {path.name: process_parallelism(ast.parse(path.read_text())) for path in sorted(SRC_DIR.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+LAYOUT_NAMES = {"__dict__", "_block", "_box", "_support"}
+
+
+def layout_reads(tree: ast.Module) -> list[str]:
+    """Attributes (or ``getattr`` names) that reach into how a volume holds its values."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and node.attr in LAYOUT_NAMES:
+            found.append(node.attr)
+        elif isinstance(node, ast.Constant) and node.value in LAYOUT_NAMES:
+            found.append(node.value)
+    return found
+
+
+def test_volume_layout_stays_in_volume_module():
+    # a volume's block, box and cached support are read through Volume3 and volume._support_values only
+    found = {
+        path.name: layout_reads(ast.parse(path.read_text()))
+        for path in sorted(SRC_DIR.glob("*.py"))
+        if path.name != "volume.py"
+    }
+    assert {name: names for name, names in found.items() if names} == {}
+    assert layout_reads(ast.parse((SRC_DIR / "volume.py").read_text()))  # the check sees the names it guards

@@ -154,12 +154,14 @@ class TestSeededSupport:
     def test_seeded_box_is_support_box(self, request, sigma, cutoff):
         dims, spacing, center = request
         h = gaussian_heatmap(HeatmapSpec(sigma_mm=sigma, cutoff=cutoff), center, dims, spacing)
-        assert "_support" in h.__dict__  # seeded at construction, not found by a later scan
-        assert h.support == support_box(h.data)
+        box = h.support
+        assert "data" not in h.__dict__  # found from the written block, not by a scan of the grid
+        assert box == support_box(h.data)
 
     def test_off_grid_centre_has_no_support(self):
         h = gaussian_heatmap(HeatmapSpec(), TargetPoint((-40.0, 5.0, 5.0)), (10, 12, 14), (1, 1, 1))
-        assert h.__dict__["_support"] is None
+        assert h.support is None
+        assert "data" not in h.__dict__
         assert not h.data.any()
 
 

@@ -115,14 +115,15 @@ class TestMeanVariance:
             grid[tuple(slice(lo, hi) for lo, hi in zip(low, high))] = np.reshape(block, shape)
             samples.append(Volume3(grid, SP))
         mean, var = mean_variance(samples)
+        # the maps' supports come from the union block, not a scan of the grid
+        boxes = mean.support, var.support
+        assert "data" not in mean.__dict__ and "data" not in var.__dict__
         dense = [s.data.astype(np.float64) for s in samples]
         ref_mean = sum(dense) / n
         ref_var = np.maximum(sum(d * d for d in dense) / n - ref_mean * ref_mean, 0.0)
         assert mean.data.tobytes() == ref_mean.tobytes()
         assert var.data.tobytes() == ref_var.tobytes()
-        # the maps' supports come from the union block, not a later scan
-        assert mean.__dict__["_support"] == support_box(mean.data)
-        assert var.__dict__["_support"] == support_box(var.data)
+        assert boxes == (support_box(mean.data), support_box(var.data))
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dims"):
