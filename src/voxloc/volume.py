@@ -17,6 +17,7 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -38,80 +39,86 @@ __all__ = [
 AXIS0_CONVENTION = "LR"
 
 
-@dataclass(frozen=True)
+class _BuiltOnFirstRead:
+    """A non-data descriptor: the first read calls the method and stores its
+    value in the instance ``__dict__`` under the method's name, so later reads
+    are plain dict hits. The value derives from the read-only block alone, so
+    threads that read it first at the same time each store an equal value; no
+    lock is taken."""
+
+    def __init__(self, build):
+        self.build = build
+        self.__doc__ = build.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.build.__name__] = self.build(obj)
+        return value
+
+
 class Volume3:
     """An immutable scalar volume with voxel spacing in mm.
 
     Attributes:
-        data: 3-D float array, shape equal to ``dims``. The buffer is
-            marked read-only at construction.
-        spacing: per-axis voxel spacing in mm, all entries > 0.
+        data: 3-D float array, shape equal to ``dims``, read-only.
+        spacing: per-axis voxel spacing in mm, all entries finite and > 0.
+        dims: the grid shape.
 
     Every volume holds a read-only block on a box of its ``dims`` grid
     and is +0.0 outside it. The constructor's block is the whole grid;
     ``_from_block`` holds a smaller one. ``data`` and ``support`` are
-    built from the block on their first read and then kept.
+    built from the block on their first read and then kept. Attributes
+    cannot be set or deleted. Volumes compare and hash by identity, and
+    ``repr`` shows dims, spacing and box without building the grid.
     """
 
-    data: np.ndarray
-    spacing: tuple[float, float, float]
-
-    def __post_init__(self):
-        arr = np.asarray(self.data)
+    def __init__(self, data: np.ndarray, spacing):
+        arr = np.asarray(data)
         if arr.ndim != 3:
             raise ValueError(f"volume data must be 3-D, got shape {arr.shape}")
         if not np.issubdtype(arr.dtype, np.floating):
             arr = arr.astype(np.float64)
         if any(n < 1 for n in arr.shape):
             raise ValueError(f"volume dims must be positive, got {arr.shape}")
-        spacing = tuple(float(s) for s in self.spacing)
-        if len(spacing) != 3 or any(s <= 0 for s in spacing):
-            raise ValueError(f"spacing must be three positive reals, got {self.spacing}")
+        checked = tuple(float(s) for s in spacing)
+        if len(checked) != 3 or not all(0 < s < np.inf for s in checked):
+            raise ValueError(f"spacing must be three finite reals > 0, got {spacing}")
         arr = arr.copy() if not arr.flags.owndata or arr.base is not None else arr
         arr.setflags(write=False)
-        del self.__dict__["data"]  # built from the block on first read, as for every volume
-        self.__dict__.update(spacing=spacing, dims=arr.shape, _block=arr, _box=tuple(slice(0, n) for n in arr.shape))
+        self.__dict__.update(spacing=checked, dims=arr.shape, _block=arr, _box=tuple(slice(0, n) for n in arr.shape))
 
-    def __getattr__(self, name):
-        # ``data`` is built on the first read and kept. Threads that read it
-        # first at the same time each store an equal array, as with ``support``.
-        if name != "data":
-            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+    def __setattr__(self, name, *value):
+        raise AttributeError(f"Volume3 is immutable: cannot set or delete {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __repr__(self) -> str:
+        box = ", ".join(f"{s.start}:{s.stop}" for s in self._box)
+        return f"Volume3(dims={self.dims}, spacing={self.spacing}, box=[{box}])"
+
+    @_BuiltOnFirstRead
+    def data(self) -> np.ndarray:
+        """The grid: the block itself when it fills the grid, else +0.0 with the block written in."""
         block = self._block
         if block.shape == self.dims:
-            out = block
-        else:
-            out = np.zeros(self.dims, dtype=block.dtype)
-            out[self._box] = block
-            out.setflags(write=False)
-        object.__setattr__(self, "data", out)
+            return block
+        out = np.zeros(self.dims, dtype=block.dtype)
+        out[self._box] = block
+        out.setflags(write=False)
         return out
 
-    def with_data(self, data: np.ndarray) -> "Volume3":
-        """Same grid geometry, new voxel values (shape must match)."""
-        if tuple(np.shape(data)) != self.dims:
-            raise ValueError(f"shape {np.shape(data)} does not match dims {self.dims}")
-        return Volume3(np.asarray(data), self.spacing)
+    @_BuiltOnFirstRead
+    def support(self) -> tuple[slice, slice, slice] | None:
+        """``support_box(self.data)``, found from the block."""
+        inner = support_box(self._block) if self._block.size else None
+        if inner is None:
+            return None
+        return tuple(slice(b.start + s.start, b.start + s.stop) for b, s in zip(self._box, inner))
 
     def ravel_linear(self) -> np.ndarray:
         """Values in x-fastest linear order (the file payload order)."""
         return self.data.ravel(order="F")
-
-    @property
-    def support(self) -> tuple[slice, slice, slice] | None:
-        """``support_box(self.data)``, found from the block on first use and then kept.
-
-        The block is read-only, so the box cannot go stale. Threads that
-        read it first at the same time each store the same box.
-        """
-        try:
-            return self.__dict__["_support"]
-        except KeyError:
-            inner = support_box(self._block) if self._block.size else None
-            if inner is not None:
-                inner = tuple(slice(b.start + s.start, b.start + s.stop) for b, s in zip(self._box, inner))
-            object.__setattr__(self, "_support", inner)
-            return inner
 
 
 @dataclass(frozen=True)
@@ -334,16 +341,29 @@ def write_volume(v: Volume3, header_path: str | Path) -> None:
     _payload_path(header_path).write_bytes(payload.tobytes())
 
 
+def _three(values, ok) -> bool:
+    """True when ``values`` is a list of three items that each pass ``ok``."""
+    return isinstance(values, list) and len(values) == 3 and all(ok(v) for v in values)
+
+
 def read_volume(header_path: str | Path) -> Volume3:
     """Read a volume written by :func:`write_volume`.
 
-    Raises ValueError on unknown header fields values or when the payload
-    length does not match the header dims.
+    Raises ValueError, naming the file, on a header that is not an object,
+    dims that are not three JSON integers >= 1, spacing that is not three
+    finite JSON numbers > 0, unknown header field values, or a payload
+    length that does not match the header dims.
     """
     header_path = Path(header_path)
     header = json.loads(header_path.read_text())
-    dims = tuple(int(d) for d in header["dims"])
-    spacing = tuple(float(s) for s in header["spacing"])
+    if not isinstance(header, dict):
+        raise ValueError(f"volume header {header_path} is not a JSON object")
+    dims, spacing = header.get("dims"), header.get("spacing")
+    # type(), not isinstance(): JSON true and false would pass as the ints 1 and 0
+    if not _three(dims, lambda d: type(d) is int and d >= 1):
+        raise ValueError(f"dims must be three integers >= 1, got {dims!r} in {header_path}")
+    if not _three(spacing, lambda s: type(s) in (int, float) and 0 < s < np.inf):
+        raise ValueError(f"spacing must be three finite numbers > 0, got {spacing!r} in {header_path}")
     if header.get("dtype") != _HEADER_DTYPE:
         raise ValueError(f"unsupported dtype {header.get('dtype')!r} in {header_path}")
     if header.get("order") != _HEADER_ORDER:
@@ -351,7 +371,7 @@ def read_volume(header_path: str | Path) -> Volume3:
     if header.get("axis0") != AXIS0_CONVENTION:
         raise ValueError(f"unsupported axis-0 tag {header.get('axis0')!r} in {header_path}")
     raw = _payload_path(header_path).read_bytes()
-    expected = int(np.prod(dims)) * 4
+    expected = math.prod(dims) * 4  # Python ints: header dims cannot wrap the count as int64 would
     if len(raw) != expected:
         raise ValueError(
             f"payload length mismatch for {header_path}: expected {expected} bytes, got {len(raw)}"

@@ -348,6 +348,17 @@ class TestRun:
         doc = json.loads((tmp_path / "broken_out" / "cases" / "case_001.json").read_text())
         assert "error" in doc
 
+    def test_malformed_volume_header_fails_case_naming_header(self, cohort_dir, tmp_path, capsys):
+        broken = tmp_path / "nan_spacing_cohort"
+        shutil.copytree(cohort_dir, broken)
+        header = broken / "case_001" / "image.json"
+        header.write_text(json.dumps({**json.loads(header.read_text()), "spacing": ["nan", 1, 1]}))
+        out = tmp_path / "r"
+        assert main(["run", "--cohort", str(broken), "--modes", "baseline", "--out", str(out)]) == EXIT_PARTIAL
+        assert "Traceback" not in capsys.readouterr().err
+        doc = json.loads((out / "cases" / "case_001.json").read_text())
+        assert str(header) in doc["error"] and "spacing" in doc["error"]
+
 
 # ---------------------------------------------------------------------------
 # analyze

@@ -99,3 +99,25 @@ def test_volume_layout_stays_in_volume_module():
     }
     assert {name: names for name, names in found.items() if names} == {}
     assert layout_reads(ast.parse((SRC_DIR / "volume.py").read_text()))  # the check sees the names it guards
+
+
+def cached_property_uses(tree: ast.Module) -> list[str]:
+    """Imports of ``functools.cached_property`` and every mention of the name."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            found += [alias.name for alias in node.names if alias.name == "cached_property"]
+        elif isinstance(node, ast.Name) and node.id == "cached_property":
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            found.append(node.attr)
+    return found
+
+
+def test_no_cached_property():
+    # On Python 3.11 cached_property.__get__ takes one RLock per attribute, shared by every
+    # instance, so case threads and sampler helpers would queue behind any first read of a
+    # volume's grid; Volume3 builds data and support through its own lock-free descriptor
+    found = {path.name: cached_property_uses(ast.parse(path.read_text())) for path in sorted(SRC_DIR.glob("*.py"))}
+    assert {name: names for name, names in found.items() if names} == {}
+    assert cached_property_uses(ast.parse("import functools\nx = functools.cached_property"))  # the check sees a use

@@ -122,7 +122,7 @@ def full_grid_largest(mask: Volume3) -> Volume3:
         raise EmptyComponentError("mask has no foreground voxels")
     labels, n = ndimage.label(binary, structure=ndimage.generate_binary_structure(3, 3))
     if n == 1:
-        return mask.with_data(binary.astype(np.float64))
+        return Volume3(binary.astype(np.float64), mask.spacing)
     counts = np.bincount(labels.ravel())
     counts[0] = 0
     candidates = np.flatnonzero(counts == counts.max())
@@ -132,7 +132,7 @@ def full_grid_largest(mask: Volume3) -> Volume3:
         first_seen, first_index = np.unique(labels.ravel(order="F"), return_index=True)
         by_label = dict(zip(first_seen.tolist(), first_index.tolist()))
         chosen = min(candidates, key=lambda lab: by_label[lab])
-    return mask.with_data((labels == chosen).astype(np.float64))
+    return Volume3((labels == chosen).astype(np.float64), mask.spacing)
 
 
 @st.composite
@@ -269,7 +269,7 @@ class HalfZeroSegmenter:
 
     def predict(self, v):
         bg, left, _ = self.inner.predict(v)
-        zero = left.with_data(np.zeros(left.dims))
+        zero = Volume3(np.zeros(left.dims), left.spacing)
         return bg, left, zero
 
 
@@ -403,7 +403,7 @@ class TestCoordinateMapping:
         coarse = downsample_to(phantom_case.image, COARSE_DIMS, interpolation="trilinear")
         _, left_prob, right_prob = cfg.segmenter.predict(coarse)
         for side, prob in (("left", left_prob), ("right", right_prob)):
-            comp = largest_connected_component(prob.with_data((prob.data >= 0.5).astype(float)))
+            comp = largest_connected_component(Volume3((prob.data >= 0.5).astype(float), prob.spacing))
             full = downsample_to(comp, phantom_case.image.dims, interpolation="nearest")
             assert result.sides[side].box.center == bounding_box_center(full)
 
@@ -445,7 +445,7 @@ class TestPlacement:
         data = np.zeros(res.local_crop.dims)
         for x in xs:
             data[x, y, z] = 1.0
-        return res.local_crop.with_data(data)
+        return Volume3(data, res.local_crop.spacing)
 
     def test_left_tie_places_at_smaller_native_x(self, phantom_case):
         res = run_pipeline(make_config(phantom_case), phantom_case.image).sides["left"]

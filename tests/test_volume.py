@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import sys
 import tempfile
 from concurrent.futures import ThreadPoolExecutor
@@ -57,10 +58,9 @@ class TestVolume3:
             v.data[0, 0, 0] = 1.0
 
     def test_rejects_bad_spacing(self):
-        with pytest.raises(ValueError):
-            Volume3(np.zeros((2, 2, 2)), (1.0, 0.0, 1.0))
-        with pytest.raises(ValueError):
-            Volume3(np.zeros((2, 2, 2)), (1.0, -1.0, 1.0))
+        for bad in (0.0, -1.0, np.nan, np.inf, -np.inf):
+            with pytest.raises(ValueError, match="spacing"):
+                Volume3(np.zeros((2, 2, 2)), (1.0, bad, 1.0))
 
     def test_rejects_non_3d(self):
         with pytest.raises(ValueError):
@@ -332,12 +332,11 @@ class TestCachedSupport:
         "make",
         [
             lambda data: Volume3(data, (1, 1, 1)),
-            lambda data: Volume3(np.zeros(data.shape), (1, 1, 1)).with_data(data),
             lambda data: flip_lr(Volume3(data, (1, 1, 1))),
             lambda data: crop_box(Volume3(data, (1, 1, 1)), VoxelBox((4, 3, 5), (7, 6, 9))),
             lambda data: downsample_to(Volume3(data, (1, 1, 1)), (5, 4, 6), interpolation="nearest"),
         ],
-        ids=["constructor", "with-data", "flip-lr", "crop-box", "downsample"],
+        ids=["constructor", "flip-lr", "crop-box", "downsample"],
     )
     @pytest.mark.parametrize("points", [[], [(2, 1, 3)], [(0, 5, 1), (6, 2, 8)]], ids=["empty", "one", "two"])
     def test_filled_lazily_with_support_box(self, make, points):
@@ -345,11 +344,11 @@ class TestCachedSupport:
         for p in points:
             data[p] = 0.5
         v = make(data)
-        assert "_support" not in v.__dict__
+        assert "support" not in v.__dict__
         expected = support_box(v.data)
         assert v.support == expected
-        assert v.__dict__["_support"] == expected
-        assert v.support is v.__dict__["_support"]
+        assert v.__dict__["support"] == expected
+        assert v.support is v.__dict__["support"]
 
     def test_first_use_from_many_threads_agrees(self):
         # tta and hybrid sampler threads read one crop's support; each first read stores the same box
@@ -363,7 +362,7 @@ class TestCachedSupport:
                 for _ in range(40):
                     v = Volume3(data.copy(), (1, 1, 1))
                     assert list(pool.map(lambda _: v.support, range(12), timeout=30)) == [expected] * 12
-                    assert v.__dict__["_support"] == expected
+                    assert v.__dict__["support"] == expected
         finally:
             sys.setswitchinterval(old)
 
@@ -467,6 +466,50 @@ class TestBlockHeld:
             sys.setswitchinterval(old)
 
 
+def dense_volume():
+    return Volume3(np.arange(60.0).reshape(3, 4, 5), (1.0, 2.0, 0.5))
+
+
+def block_held_volume():
+    return _from_block(np.ones((2, 3, 2)), (slice(1, 3), slice(4, 7), slice(0, 2)), (64, 64, 64), (1.0, 2.0, 0.5))
+
+
+class TestPlainClass:
+    """``Volume3`` compares and hashes by identity, has a repr that builds no grid, and cannot change."""
+
+    @pytest.mark.parametrize("make", [dense_volume, block_held_volume], ids=["dense", "block-held"])
+    def test_identity_equality_and_hash(self, make):
+        a, b = make(), make()
+        assert a == a and not (a != a)
+        assert a != b and not (a == b)
+        assert hash(a) == hash(a)
+        assert len({a, b, a}) == 2
+        assert "data" not in a.__dict__ and "data" not in b.__dict__  # comparing and hashing read no grid
+
+    @pytest.mark.parametrize(
+        "make, box",
+        [(dense_volume, "[0:3, 0:4, 0:5]"), (block_held_volume, "[1:3, 4:7, 0:2]")],
+        ids=["dense", "block-held"],
+    )
+    def test_repr_builds_no_grid(self, make, box):
+        v = make()
+        text = repr(v)
+        assert str(v.dims) in text and str(v.spacing) in text and box in text
+        assert "data" not in v.__dict__
+        assert v.data is v.__dict__["data"]  # the key the assert above reads is where the grid is kept
+
+    @pytest.mark.parametrize("make", [dense_volume, block_held_volume], ids=["dense", "block-held"])
+    @pytest.mark.parametrize("name", ["data", "spacing", "dims", "support", "extra"])
+    def test_attributes_cannot_be_set_or_deleted(self, make, name):
+        v = make()
+        before = dict(v.__dict__)
+        with pytest.raises(AttributeError):
+            setattr(v, name, None)
+        with pytest.raises(AttributeError):
+            delattr(v, name)
+        assert v.__dict__ == before
+
+
 class TestFlipLr:
     def test_involution_bitwise(self):
         rng = np.random.default_rng(8)
@@ -540,8 +583,6 @@ class TestVolumeFiles:
             read_volume(path)
 
     def test_rejects_unknown_header_fields(self, tmp_path):
-        import json
-
         v = Volume3(np.zeros((2, 2, 2), dtype=np.float32), (1, 1, 1))
         path = tmp_path / "vol.json"
         write_volume(v, path)
@@ -550,6 +591,52 @@ class TestVolumeFiles:
         path.write_text(json.dumps(header))
         with pytest.raises(ValueError, match="dtype"):
             read_volume(path)
+
+    @pytest.mark.parametrize(
+        "header, field",
+        [
+            ({"dims": "444"}, "dims"),
+            ({"dims": [4.7, 4, 4]}, "dims"),
+            ({"dims": [4.0, 4, 4]}, "dims"),
+            ({"dims": [True, 64, 1]}, "dims"),
+            ({"dims": [-4, -4, 4]}, "dims"),
+            ({"dims": [0, 4, 4]}, "dims"),
+            ({"dims": [4, 4]}, "dims"),
+            ({"dims": None}, "dims"),  # None drops the key
+            ({"spacing": None}, "spacing"),
+            ({"spacing": ["nan", 1, 1]}, "spacing"),
+            ({"spacing": [float("nan"), 1, 1]}, "spacing"),
+            ({"spacing": [float("inf"), 1, 1]}, "spacing"),
+            ({"spacing": [True, 1, 1]}, "spacing"),
+            ({"spacing": [1, 1]}, "spacing"),
+            ([], "JSON object"),
+        ],
+        ids=[
+            "dims-string", "dims-fraction", "dims-float", "dims-bool", "dims-negative", "dims-zero", "dims-two",
+            "dims-missing", "spacing-missing", "spacing-string", "spacing-nan", "spacing-inf", "spacing-bool",
+            "spacing-two", "header-list",
+        ],
+    )
+    def test_rejects_malformed_header_shape(self, tmp_path, header, field):
+        path = tmp_path / "vol.json"
+        write_volume(Volume3(np.zeros((4, 4, 4), dtype=np.float32), (1, 1, 1)), path)
+        if isinstance(header, dict):
+            header = {**json.loads(path.read_text()), **header}
+            header = {k: v for k, v in header.items() if v is not None}
+        path.write_text(json.dumps(header))
+        with pytest.raises(ValueError, match=field) as info:
+            read_volume(path)
+        assert str(path) in str(info.value)
+
+    def test_rejects_dims_whose_voxel_count_wraps_int64(self, tmp_path):
+        # 2**32 * 2**32 wraps to 0 in int64, which an empty payload would match
+        path = tmp_path / "vol.json"
+        write_volume(Volume3(np.zeros((1, 1, 1), dtype=np.float32), (1, 1, 1)), path)
+        path.write_text(json.dumps({**json.loads(path.read_text()), "dims": [2**32, 2**32, 1]}))
+        (tmp_path / "vol.raw").write_bytes(b"")
+        with pytest.raises(ValueError, match="length mismatch") as info:
+            read_volume(path)
+        assert str(path) in str(info.value)
 
     def test_write_is_deterministic(self, tmp_path):
         rng = np.random.default_rng(12)
