@@ -77,7 +77,9 @@ def gaussian_heatmap(spec: HeatmapSpec, center: TargetPoint, dims, spacing) -> V
     is exactly ``spec.peak`` when the center lies on a voxel. A center
     inside the grid whose map would be all zero (a sigma far below the
     voxel size) is an error, so a heatmap never silently encodes nothing.
-    The map's ``support`` comes from the block it writes.
+    The map holds only the block it writes: the cutoff ball's bounding
+    box, clipped to the grid, which is its ``support``. The box may have
+    a rim of zeros, and it is empty for a center far off the grid.
     """
     dims = tuple(int(d) for d in dims)
     spacing = tuple(float(s) for s in spacing)
@@ -113,14 +115,14 @@ def argmax_position(h: Volume3) -> TargetPoint:
 
     Ties break to the smallest linear index in x-fastest order. NaN
     voxels are ignored; an all-NaN volume is invalid data. The scan
-    covers only the heatmap's ``support`` when that box holds a value
-    above 0.
+    covers only the box the heatmap holds, its ``support``, when that box
+    holds a value above 0.
     """
     # A positive maximum of the box is the volume's maximum, since every
     # voxel outside is 0, and the box's own x-fastest scan visits its voxels
     # in the grid's linear order, so the tie-break holds. A NaN in the box
-    # (argmax stops there), a box of values <= 0 and an all-zero volume scan
-    # the grid.
+    # (argmax stops there), a box of values <= 0 (only zeros, say) and an
+    # empty box scan the grid.
     found = _support_values(h)
     if found is not None:
         box, block = found

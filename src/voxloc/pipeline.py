@@ -184,7 +184,7 @@ def _native_center(component: Volume3, dims) -> tuple[int, int, int]:
 
     Native voxel ``(q0, q1, q2)`` copies coarse voxel ``(m0[q0], m1[q1],
     m2[q2])``, with ``m_a`` from ``_nearest_index``. Only native voxels
-    whose maps all land in the component's support box can be set, so
+    whose maps all land in the box the component holds can be set, so
     the box is read from the gather of just those.
     """
     found = _support_values(component)

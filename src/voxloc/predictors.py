@@ -259,10 +259,14 @@ def save_weights(net: ConvNetLocalizer, manifest_path: str | Path) -> None:
 def load_weights(manifest_path: str | Path) -> list[tuple[np.ndarray, np.ndarray]]:
     manifest_path = Path(manifest_path)
     manifest = json.loads(manifest_path.read_text())
+    if not isinstance(manifest, dict):
+        raise InvalidModelError(f"weight manifest {manifest_path} is not a JSON object")
     if manifest.get("dtype") != "f32":
         raise InvalidModelError(f"unsupported weight dtype {manifest.get('dtype')!r}")
     raw = manifest_path.with_suffix(".raw").read_bytes()
     layers = manifest.get("layers", [])
+    if not isinstance(layers, list) or not all(isinstance(layer, dict) for layer in layers):
+        raise InvalidModelError(f"layers must be a list of objects, got {layers!r} in {manifest_path}")
     total = sum(
         int(np.prod(layer["weight"])) + int(np.prod(layer["bias"])) for layer in layers
     )

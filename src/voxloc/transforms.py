@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from voxloc.volume import Volume3, _from_block
+from voxloc.volume import Volume3, _from_block, _support_values, support_box
 
 __all__ = [
     "RigidTransform",
@@ -101,13 +101,17 @@ def rigid_apply(tf: RigidTransform, v: Volume3, interpolation: str = "trilinear"
     to the nearest edge voxel. Images and heatmaps use trilinear
     interpolation, masks should use nearest.
 
-    The cost follows the input's support: when its nonzero ``support``
-    touches no face of the grid, only the output block that box can reach
-    is resampled, and the output holds that block (every other voxel is
-    exactly 0) without filling the grid. An input whose support touches a
-    face (any dense image) or that is all zero takes the full-grid warp,
-    because clamped edge reads can then carry nonzero values anywhere.
-    Both paths give the same bits.
+    The cost follows the input's ``support``, the box it holds. When that
+    box is smaller than the grid and every voxel of it on a face of the
+    grid is zero, only the output block the box can reach is resampled,
+    and the output holds that block (every other voxel is exactly 0)
+    without filling the grid. Any other input (any volume built by
+    ``Volume3``, an empty one, or one with a nonzero value on a face)
+    takes the full-grid warp, because clamped edge reads can then carry
+    that value anywhere. Its output is held on ``support_box`` of
+    the warped values, so a heatmap near a face stays a small block for
+    the passes after it, at the cost of six face reads for a dense
+    image. Both paths give the same bits.
     """
     if interpolation not in ("trilinear", "nearest"):
         raise ValueError(f"unknown interpolation {interpolation!r}")
@@ -116,10 +120,11 @@ def rigid_apply(tf: RigidTransform, v: Volume3, interpolation: str = "trilinear"
     offset = pivot - rot_inv @ (pivot + np.asarray(tf.translation))
     order = 1 if interpolation == "trilinear" else 0
     data = v.data.astype(np.float64, copy=False)
-    block = _mapped_block(tf, v.dims, v.support)
+    block = _mapped_block(tf, v)
     if block is None:
         out = ndimage.affine_transform(data, rot_inv, offset=offset, order=order, mode="nearest")
-        return Volume3(out.astype(v.data.dtype, copy=False), v.spacing)
+        held = support_box(out) or (slice(0, 0),) * 3
+        return _from_block(out[held].astype(v.data.dtype, copy=False), held, v.dims, v.spacing)
     # affine_transform's source coordinates, summed in its order (offset first), on the block only
     q = np.mgrid[block].astype(np.float64)
     coords = np.stack(
@@ -129,16 +134,27 @@ def rigid_apply(tf: RigidTransform, v: Volume3, interpolation: str = "trilinear"
     return _from_block(values.astype(v.data.dtype, copy=False), block, v.dims, v.spacing)
 
 
-def _mapped_block(tf: RigidTransform, dims, box) -> tuple[slice, slice, slice] | None:
-    """Output block that can read the input box under ``tf``, or None for the full grid.
+def _mapped_block(tf: RigidTransform, v: Volume3) -> tuple[slice, slice, slice] | None:
+    """Output block that can read the values ``v`` holds under ``tf``, or None for the full grid.
 
-    An output voxel is nonzero only if its source point lies within 1 of
-    the box on every axis (the interpolation stencil), which puts it
-    within sqrt(3) < 2 of the box's forward image. The forward image of
-    the box's 8 corners, rounded outward and padded by 1 voxel, covers
-    that. None when the box is missing or touches a face.
+    A read clamped to the grid returns a face voxel, and a read inside it
+    returns +0.0 outside the held box. So when the box's voxels on faces
+    of the grid are all zero, an output voxel is nonzero only if its
+    source point lies within 1 of the box on every axis (the
+    interpolation stencil), which puts it within sqrt(3) < 2 of the box's
+    forward image. The forward image of the box's 8 corners, rounded
+    outward and padded by 1 voxel, covers that. (scipy sums a stencil
+    from +0.0, so reads of -0.0 give +0.0 as they do outside the block.)
+    None when ``v`` holds nothing or its whole grid, or holds a nonzero
+    value on a face.
     """
-    if box is None or any(s.start == 0 or s.stop == n for s, n in zip(box, dims)):
+    found, dims = _support_values(v), v.dims
+    if found is None or found[0] == tuple(slice(0, n) for n in dims):
+        return None
+    box, held = found
+    on_faces = [held[(slice(None),) * a + (0,)] for a, s in enumerate(box) if s.start == 0]
+    on_faces += [held[(slice(None),) * a + (-1,)] for a, s in enumerate(box) if s.stop == dims[a]]
+    if any(face.any() for face in on_faces):
         return None
     ends = np.array([[s.start, s.stop - 1] for s in box], dtype=np.float64)
     corners = np.stack(np.meshgrid(*ends, indexing="ij"), axis=-1).reshape(-1, 3)

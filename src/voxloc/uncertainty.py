@@ -24,18 +24,20 @@ centroid, and the mean distance of the positions from that centroid (the
 dispersion score used for rejection). The final target of a run is the
 argmax of the mean map.
 
-A sample costs its heatmap's support, not the crop. ``gaussian_heatmap``
-returns a volume that holds only the block it computes, so an mcdo
-sample never fills or scans the 64^3 grid: the argmax and the two
-running sums read the values in its ``Volume3.support`` box straight
-from that block. In tta and hybrid the warp back also computes and
-holds only the block the box can reach. The mean and variance are
-computed only inside the union of the sample boxes and held as that
-block, and the final target's argmax scans only that union. A heatmap
-that fills the crop, or one whose support touches a face of it, gets
-the whole grid and runs the full passes; an all-zero one adds nothing
-and scans the grid for its argmax. The outputs are the same bits as the
-full passes give.
+A sample costs the box its heatmap holds, not the crop.
+``gaussian_heatmap`` returns a volume that holds only the block it
+computes, so an mcdo sample never fills or scans the 64^3 grid: the
+argmax and the two running sums read the values in its
+``Volume3.support`` box, the held box, straight from that block. In tta
+and hybrid the warp back also computes and holds only the block the box
+can reach. The mean and variance are computed only inside the union of
+the sample boxes and held as that block, and the final target's argmax
+scans only that union. A heatmap that fills the crop runs the full
+passes. One with a nonzero value on a face of the crop takes the
+full-grid warp back, whose output then holds only the nonzero box of its
+values. An empty heatmap adds nothing, and one whose box holds no value
+above 0 scans the grid for its argmax. The outputs are the same bits as
+the full passes give.
 
 tta and hybrid draw their samples on the calling thread plus one helper
 thread per further core the process may use, as a sample's warps,
@@ -138,11 +140,12 @@ class UncertaintySummary:
 class _Accumulator:
     """Streaming sum/sum-of-squares reduction over sample heatmaps.
 
-    Both sums start as zeros and each sample adds only its ``support``
-    box. Outside the box the sample is 0, and 0.0 + x is x, so the sums
-    equal the dense sums bit for bit (a voxel that is 0 in every sample
-    sums to +0.0). ``finalize`` reduces only the union of the boxes:
-    outside it, 0/n and 0 - 0*0 are the +0.0 the dense passes give.
+    Both sums start as zeros and each sample adds only its ``support``,
+    the box it holds. Outside the box the sample is +0.0, and a sum that
+    starts at +0.0 is unchanged by adding +0.0, so the sums equal the
+    dense sums bit for bit (a voxel that is 0 in every sample sums to
+    +0.0). ``finalize`` reduces only the union of the boxes: outside it,
+    0/n and 0 - 0*0 are the +0.0 the dense passes give.
     """
 
     def __init__(self):

@@ -39,22 +39,24 @@ __all__ = [
 AXIS0_CONVENTION = "LR"
 
 
-class _BuiltOnFirstRead:
-    """A non-data descriptor: the first read calls the method and stores its
-    value in the instance ``__dict__`` under the method's name, so later reads
-    are plain dict hits. The value derives from the read-only block alone, so
-    threads that read it first at the same time each store an equal value; no
-    lock is taken."""
+class _Grid:
+    """``Volume3.data``, a non-data descriptor: the first read builds the
+    grid (the block itself when it fills the grid, else +0.0 with the block
+    written in) and stores it in the instance ``__dict__``, so later reads
+    are plain dict hits. The grid derives from the read-only block alone,
+    so threads that read it first at the same time each store an equal
+    grid; no lock is taken."""
 
-    def __init__(self, build):
-        self.build = build
-        self.__doc__ = build.__doc__
-
-    def __get__(self, obj, owner=None):
-        if obj is None:
+    def __get__(self, v, owner=None):
+        if v is None:
             return self
-        value = obj.__dict__[self.build.__name__] = self.build(obj)
-        return value
+        grid = v._block
+        if grid.shape != v.dims:
+            grid = np.zeros(v.dims, dtype=v._block.dtype)
+            grid[v._box] = v._block
+            grid.setflags(write=False)
+        v.__dict__["data"] = grid
+        return grid
 
 
 class Volume3:
@@ -64,13 +66,17 @@ class Volume3:
         data: 3-D float array, shape equal to ``dims``, read-only.
         spacing: per-axis voxel spacing in mm, all entries finite and > 0.
         dims: the grid shape.
+        support: the box of the held block, or None when the block is
+            empty. The volume is +0.0 outside it; inside, the block may
+            hold zeros too, so it is not the nonzero box.
 
     Every volume holds a read-only block on a box of its ``dims`` grid
     and is +0.0 outside it. The constructor's block is the whole grid;
-    ``_from_block`` holds a smaller one. ``data`` and ``support`` are
-    built from the block on their first read and then kept. Attributes
-    cannot be set or deleted. Volumes compare and hash by identity, and
-    ``repr`` shows dims, spacing and box without building the grid.
+    ``_from_block`` holds a smaller one. Both set ``support`` and scan
+    nothing. ``data`` is built from the block on its first read and then
+    kept. Attributes cannot be set or deleted. Volumes compare and hash
+    by identity, and ``repr`` shows dims, spacing and box without
+    building the grid.
     """
 
     def __init__(self, data: np.ndarray, spacing):
@@ -87,6 +93,7 @@ class Volume3:
         arr = arr.copy() if not arr.flags.owndata or arr.base is not None else arr
         arr.setflags(write=False)
         self.__dict__.update(spacing=checked, dims=arr.shape, _block=arr, _box=tuple(slice(0, n) for n in arr.shape))
+        self.__dict__["support"] = self._box
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"Volume3 is immutable: cannot set or delete {name!r}")
@@ -97,24 +104,7 @@ class Volume3:
         box = ", ".join(f"{s.start}:{s.stop}" for s in self._box)
         return f"Volume3(dims={self.dims}, spacing={self.spacing}, box=[{box}])"
 
-    @_BuiltOnFirstRead
-    def data(self) -> np.ndarray:
-        """The grid: the block itself when it fills the grid, else +0.0 with the block written in."""
-        block = self._block
-        if block.shape == self.dims:
-            return block
-        out = np.zeros(self.dims, dtype=block.dtype)
-        out[self._box] = block
-        out.setflags(write=False)
-        return out
-
-    @_BuiltOnFirstRead
-    def support(self) -> tuple[slice, slice, slice] | None:
-        """``support_box(self.data)``, found from the block."""
-        inner = support_box(self._block) if self._block.size else None
-        if inner is None:
-            return None
-        return tuple(slice(b.start + s.start, b.start + s.stop) for b, s in zip(self._box, inner))
+    data = _Grid()
 
     def ravel_linear(self) -> np.ndarray:
         """Values in x-fastest linear order (the file payload order)."""
@@ -288,21 +278,23 @@ def support_box(data: np.ndarray) -> tuple[slice, slice, slice] | None:
 def _from_block(block: np.ndarray, box: tuple[slice, slice, slice], dims, spacing) -> Volume3:
     """A volume that holds float ``block`` on ``box`` and +0.0 elsewhere.
 
-    The block becomes read-only and is not copied. Nothing is scanned
-    or filled here: ``support`` and ``data`` are built on first read.
+    The block becomes read-only and is not copied. Its ``support`` is
+    ``box``, or None when the block is empty. Nothing is scanned or
+    filled here: ``data`` is built on first read.
     """
     block.setflags(write=False)
     v = object.__new__(Volume3)
     v.__dict__.update(spacing=tuple(float(s) for s in spacing), dims=tuple(dims), _block=block, _box=tuple(box))
+    v.__dict__["support"] = v._box if block.size else None
     return v
 
 
 def _support_values(v: Volume3) -> tuple[tuple[slice, slice, slice], np.ndarray] | None:
-    """``(v.support, v.data[v.support])`` read from the block, so no grid is built; None when all zero."""
-    box = v.support
-    if box is None:
-        return None
-    return box, v._block[tuple(slice(s.start - a.start, s.stop - a.start) for s, a in zip(box, v._box))]
+    """``(v.support, v.data[v.support])``: the held box and block, so no grid is built; None when the block is empty.
+
+    The block may hold zeros, and then it is wider than the nonzero box.
+    """
+    return None if v.support is None else (v.support, v._block)
 
 
 # ---------------------------------------------------------------------------

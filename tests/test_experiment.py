@@ -709,14 +709,23 @@ class TestCli:
         assert str(bad) in lines[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("defect", ["f16-dtype", "layout-mismatch"])
+    @pytest.mark.parametrize("defect", ["f16-dtype", "layout-mismatch", "manifest-list", "layers-number", "layer-not-object"])
     def test_malformed_weight_file_is_one_line_io_error(self, cohort_dir, tmp_path, capsys, defect):
         weights = tmp_path / "weights.json"
         if defect == "f16-dtype":
             save_weights(ConvNetLocalizer.from_seed(ConvNetSpec()), weights)
             weights.write_text(weights.read_text().replace('"f32"', '"f16"'))
-        else:
+        elif defect == "layout-mismatch":
             save_weights(ConvNetLocalizer.from_seed(ConvNetSpec(channels=(4, 1))), weights)
+        else:
+            save_weights(ConvNetLocalizer.from_seed(ConvNetSpec()), weights)
+            manifest = json.loads(weights.read_text())
+            bad = {
+                "manifest-list": [1, 2],
+                "layers-number": dict(manifest, layers=3),
+                "layer-not-object": dict(manifest, layers=[[1], [1]]),
+            }[defect]
+            weights.write_text(json.dumps(bad))
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"weight_file": str(weights)}))
         out = tmp_path / "r"

@@ -76,7 +76,7 @@ def test_one_process_one_parallelism_mechanism():
     assert {name: names for name, names in found.items() if names} == {}
 
 
-LAYOUT_NAMES = {"__dict__", "_block", "_box", "_support"}
+LAYOUT_NAMES = {"__dict__", "_block", "_box"}
 
 
 def layout_reads(tree: ast.Module) -> list[str]:
@@ -91,7 +91,7 @@ def layout_reads(tree: ast.Module) -> list[str]:
 
 
 def test_volume_layout_stays_in_volume_module():
-    # a volume's block, box and cached support are read through Volume3 and volume._support_values only
+    # a volume's block and box are read through Volume3 and volume._support_values only
     found = {
         path.name: layout_reads(ast.parse(path.read_text()))
         for path in sorted(SRC_DIR.glob("*.py"))
@@ -117,7 +117,34 @@ def cached_property_uses(tree: ast.Module) -> list[str]:
 def test_no_cached_property():
     # On Python 3.11 cached_property.__get__ takes one RLock per attribute, shared by every
     # instance, so case threads and sampler helpers would queue behind any first read of a
-    # volume's grid; Volume3 builds data and support through its own lock-free descriptor
+    # volume's grid; Volume3 builds data through its own lock-free descriptor
     found = {path.name: cached_property_uses(ast.parse(path.read_text())) for path in sorted(SRC_DIR.glob("*.py"))}
     assert {name: names for name, names in found.items() if names} == {}
     assert cached_property_uses(ast.parse("import functools\nx = functools.cached_property"))  # the check sees a use
+
+
+#: the modules that may find a nonzero box by scanning values: the definition, stage 1's
+#: foreground mask and rigid_apply's full-grid warp; every other volume's support is its held box
+SUPPORT_BOX_USERS = {"volume.py", "pipeline.py", "transforms.py"}
+
+
+def support_box_mentions(tree: ast.Module) -> list[str]:
+    """Every name, attribute or import alias that names ``support_box``."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and node.id == "support_box":
+            found.append(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr == "support_box":
+            found.append(node.attr)
+        elif isinstance(node, ast.alias) and node.name == "support_box":
+            found.append(node.name)
+        elif isinstance(node, ast.FunctionDef) and node.name == "support_box":
+            found.append(node.name)
+    return found
+
+
+def test_support_box_named_only_where_values_are_scanned():
+    found = {path.name: support_box_mentions(ast.parse(path.read_text())) for path in sorted(SRC_DIR.glob("*.py"))}
+    assert {name for name, names in found.items() if names} <= SUPPORT_BOX_USERS
+    assert all(found[name] for name in SUPPORT_BOX_USERS)  # the check sees the names it allows
+    assert support_box_mentions(ast.parse("import voxloc.volume as vv\nvv.support_box(x)"))

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,7 +18,7 @@ from voxloc.heatmap import (
     gaussian_heatmap,
     wmse,
 )
-from voxloc.volume import Volume3, flip_lr, support_box
+from voxloc.volume import Volume3, _from_block, _support_values, flip_lr, support_box
 
 
 class TestHeatmapSpec:
@@ -153,10 +154,21 @@ class TestSeededSupport:
     )
     def test_seeded_box_is_support_box(self, request, sigma, cutoff):
         dims, spacing, center = request
-        h = gaussian_heatmap(HeatmapSpec(sigma_mm=sigma, cutoff=cutoff), center, dims, spacing)
-        box = h.support
-        assert "data" not in h.__dict__  # found from the written block, not by a scan of the grid
-        assert box == support_box(h.data)
+        with mock.patch("voxloc.volume.support_box", side_effect=AssertionError("support_box scanned a heatmap")):
+            h = gaussian_heatmap(HeatmapSpec(sigma_mm=sigma, cutoff=cutoff), center, dims, spacing)
+            found = _support_values(h)
+        assert "data" not in h.__dict__  # the box of the written block, not a scan of the grid
+        nonzero = support_box(h.data)
+        if found is None:
+            assert h.support is None and nonzero is None
+            return
+        box, block = found
+        assert box == h.support
+        assert block.tobytes() == h.data[box].tobytes()
+        outside = h.data.copy()
+        outside[box] = 0.0
+        assert not outside.any()  # the box may hold zeros, but every nonzero voxel lies in it
+        assert nonzero is None or all(b.start <= n.start and n.stop <= b.stop for b, n in zip(box, nonzero))
 
     def test_off_grid_centre_has_no_support(self):
         h = gaussian_heatmap(HeatmapSpec(), TargetPoint((-40.0, 5.0, 5.0)), (10, 12, 14), (1, 1, 1))
@@ -227,14 +239,13 @@ class TestArgmaxPosition:
         st.data(),
     )
     def test_embedded_block_equals_nanargmax_over_linear_order(self, block, margins, dtype, pool, data):
-        # the drawn block sits in a zero grid clear of every face, so the support box is inside it;
+        # the volume holds the drawn block, clear of every face, in a zero grid;
         # the pools cover NaN in the box, boxes of values <= 0, +-inf and an all-zero volume
         n = math.prod(block)
         flat = np.array(data.draw(st.lists(st.sampled_from(pool), min_size=n, max_size=n)), dtype=dtype)
         dims = tuple(lo + n + hi for n, (lo, hi) in zip(block, margins))
-        grid = np.zeros(dims, dtype=dtype)
-        grid[tuple(slice(lo, lo + n) for n, (lo, _) in zip(block, margins))] = flat.reshape(block, order="F")
-        v = Volume3(grid, (1, 1, 1))
+        box = tuple(slice(lo, lo + n) for n, (lo, _) in zip(block, margins))
+        v = _from_block(flat.reshape(block, order="F"), box, dims, (1, 1, 1))
         expected = np.unravel_index(int(np.nanargmax(v.ravel_linear())), dims, order="F")
         assert argmax_position(v).position == tuple(float(i) for i in expected)
 

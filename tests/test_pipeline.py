@@ -176,7 +176,10 @@ class TestBoxBoundedLabelling:
         assert out.data.dtype == ref.data.dtype
         assert out.spacing == ref.spacing
         assert out.data.tobytes() == ref.data.tobytes()
-        assert out.support == support_box(ref.data)
+        # held on the labelled box, the foreground's; a smaller component is zero in the rest of it
+        assert out.support == support_box(mask)
+        kept = support_box(ref.data)
+        assert all(s.start <= k.start and k.stop <= s.stop for s, k in zip(out.support, kept))
 
 
 class TestBoundingBoxCenter:
@@ -212,7 +215,7 @@ class TestNativeCenter:
     def test_matches_center_of_nearest_resampled_mask(self, mask, native, from_labelling):
         component = Volume3(mask.astype(np.float64), SP)
         if from_labelling and mask.any():
-            component = largest_connected_component(component)  # support seeded from its block
+            component = largest_connected_component(component)  # held on its foreground's box
         try:
             expected = bounding_box_center(downsample_to(component, native, interpolation="nearest"))
         except EmptyComponentError:

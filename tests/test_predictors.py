@@ -1,5 +1,7 @@
 """Tests for segmenter and localizer predictors."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import special
@@ -231,6 +233,24 @@ class TestWeightFiles:
         text = path.read_text().replace('"f32"', '"f64"')
         path.write_text(text)
         with pytest.raises(InvalidModelError, match="dtype"):
+            load_weights(path)
+
+    @pytest.mark.parametrize(
+        "manifest, match",
+        [
+            ([1, 2], "not a JSON object"),
+            (None, "not a JSON object"),
+            ({"dtype": "f32", "layers": 3}, "list of objects"),
+            ({"dtype": "f32", "layers": {"weight": [1], "bias": [1]}}, "list of objects"),
+            ({"dtype": "f32", "layers": [[1], [1]]}, "list of objects"),
+        ],
+        ids=["list", "null", "layers-number", "layers-object", "layer-not-object"],
+    )
+    def test_malformed_manifest_rejected(self, tmp_path, manifest, match):
+        path = tmp_path / "weights.json"
+        path.write_text(json.dumps(manifest))
+        path.with_suffix(".raw").write_bytes(b"")
+        with pytest.raises(InvalidModelError, match=match):
             load_weights(path)
 
     def test_layer_count_mismatch_rejected(self):

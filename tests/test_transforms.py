@@ -22,7 +22,7 @@ from voxloc.transforms import (
     sample_transform,
 )
 from voxloc.heatmap import HeatmapSpec, TargetPoint, gaussian_heatmap
-from voxloc.volume import Volume3, support_box
+from voxloc.volume import Volume3, _from_block, _support_values, support_box
 
 
 def compact_smooth_volume(dims=(64, 64, 64)):
@@ -298,6 +298,12 @@ def affine_reference(tf, v, interpolation):
     return out.astype(v.data.dtype)
 
 
+def held_on_nonzero_box(data):
+    """A volume of ``data`` that holds only its nonzero box, as a sampled heatmap does."""
+    box = support_box(data)
+    return _from_block(data[box].copy(), box, data.shape, (1.0, 1.0, 1.0))
+
+
 class TestRigidApplySupportBounded:
     @settings(max_examples=150, deadline=None)
     @given(
@@ -312,15 +318,16 @@ class TestRigidApplySupportBounded:
         # targets anywhere on the grid, so some supports touch a face
         center = TargetPoint(tuple(w * (d - 1) for w, d in zip(where, dims)))
         h = gaussian_heatmap(HeatmapSpec(sigma_mm=sigma), center, dims, (1.0, 1.0, 1.0))
-        v = Volume3(h.data.astype(dtype), h.spacing)
+        box, values = _support_values(h)
+        v = _from_block(values.astype(dtype), box, dims, h.spacing)
         tf, _ = sample_transform(TransformPriors(), seed)
         out = rigid_apply(tf, v, interpolation)
         ref = affine_reference(tf, v, interpolation)
         assert out.data.dtype == dtype
         np.testing.assert_array_equal(out.data, ref)
-        box = support_box(v.data)
-        block = _mapped_block(tf, dims, box)
-        touches = any(s.start == 0 or s.stop == n for s, n in zip(box, dims))
+        block = _mapped_block(tf, v)
+        # a held box may reach a face through a rim of zeros; only a value on a face needs the full warp
+        touches = any(s.start == 0 or s.stop == n for s, n in zip(support_box(v.data), dims))
         assert (block is None) == touches
         if block is not None:
             outside = ref.copy()
@@ -332,7 +339,7 @@ class TestRigidApplySupportBounded:
         # interpolation stencil is the widest margin the padding must cover
         data = np.zeros((21, 21, 21))
         data[7, 12, 9] = 1.0
-        v = Volume3(data, (1, 1, 1))
+        v = held_on_nonzero_box(data)
         for angle in (30.0, 45.0, 60.0, 90.0, 135.0):
             for axis in ((1, 1, 1), (1, -1, 0), (0, 0, 1)):
                 tf = RigidTransform(axis, angle, (0.3, -0.45, 0.5))
@@ -341,16 +348,17 @@ class TestRigidApplySupportBounded:
                     ref = affine_reference(tf, v, interpolation)
                     np.testing.assert_array_equal(out.data, ref)
                     outside = ref.copy()
-                    outside[_mapped_block(tf, v.dims, support_box(data))] = 0
+                    outside[_mapped_block(tf, v)] = 0
                     assert not outside.any()
 
     def test_support_mapped_off_the_grid_gives_zeros(self):
         data = np.zeros((21, 21, 21))
         data[4:7, 10, 10] = 1.0
-        v = Volume3(data, (1, 1, 1))
+        v = held_on_nonzero_box(data)
         tf = RigidTransform((0, 0, 1), 10.0, (-30.0, 0.0, 0.0))
-        assert _mapped_block(tf, v.dims, support_box(data))[0] == slice(0, 0)
+        assert _mapped_block(tf, v)[0] == slice(0, 0)
         out = rigid_apply(tf, v)
+        assert out.support is None
         assert not out.data.any()
         np.testing.assert_array_equal(out.data, affine_reference(tf, v, "trilinear"))
 
@@ -369,8 +377,58 @@ class TestRigidApplySupportBounded:
         v = Volume3(np.zeros((12, 12, 12)), (1, 1, 1))
         calls = spy_warps(monkeypatch)
         tf, _ = sample_transform(TransformPriors(), 4)
-        assert not rigid_apply(tf, v).data.any()
+        out = rigid_apply(tf, v)
+        assert out.support is None  # held on the empty box: no voxel of the warp is nonzero
+        assert not out.data.any()
         assert calls == ["affine_transform"]
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        dims=st.tuples(*(st.integers(8, 24),) * 3),
+        seed=st.integers(0, 2**32 - 1),
+        where=st.tuples(*(st.sampled_from([0.0, 0.05, 0.5, 0.95, 1.0, 1.2]),) * 3),
+        content=st.sampled_from(["heatmap", "image", "zeros"]),
+        interpolation=st.sampled_from(["trilinear", "nearest"]),
+        dtype=st.sampled_from([np.float32, np.float64]),
+    )
+    def test_full_warp_is_held_on_support_box_of_its_values(self, dims, seed, where, content, interpolation, dtype):
+        # a volume built by Volume3 holds its whole grid, so it takes the full warp whatever it holds
+        if content == "heatmap":  # a near-face or off-grid peak leaves the warp mostly zero
+            center = TargetPoint(tuple(w * (d - 1) for w, d in zip(where, dims)))
+            data = gaussian_heatmap(HeatmapSpec(), center, dims, (1.0, 1.0, 1.0)).data
+        elif content == "image":
+            data = np.random.default_rng(seed % 1000).random(dims) + 0.1
+        else:
+            data = np.zeros(dims)
+        v = Volume3(data.astype(dtype), (1.0, 1.0, 1.0))
+        tf, _ = sample_transform(TransformPriors(), seed)
+        out = rigid_apply(tf, v, interpolation)
+        ref = affine_reference(tf, v, interpolation)
+        assert out.support == support_box(ref)
+        assert out._box == (out.support or (slice(0, 0),) * 3)  # the output holds only that box
+        found = _support_values(out)
+        assert "data" not in out.__dict__  # the held block is read without building the grid
+        if found is not None:
+            assert found[1].dtype == dtype
+            assert found[1].tobytes() == ref[found[0]].tobytes()
+        assert out.data.dtype == dtype
+        assert out.data.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("fill", [0.0, -0.0, 1e-300], ids=["zero", "negative-zero", "tiny"])
+    def test_held_box_on_a_face_takes_block_warp_unless_a_face_voxel_is_set(self, fill, monkeypatch):
+        # the held box reaches face 0 of axis 0, where it holds zeros unless filled; the full
+        # warp turns a read of -0.0 into +0.0, as the block warp leaves every voxel outside it
+        h = gaussian_heatmap(HeatmapSpec(), TargetPoint((4.2, 10.0, 10.0)), (21, 21, 21), (1, 1, 1))
+        box, values = _support_values(h)
+        assert box[0].start == 0 and not values[0].any()
+        values = values.copy()
+        values[0, 4, 4] = fill
+        v = _from_block(values, box, h.dims, h.spacing)
+        tf, _ = sample_transform(TransformPriors(), 5)
+        ref = affine_reference(tf, v, "trilinear")
+        calls = spy_warps(monkeypatch)
+        assert rigid_apply(tf, v).data.tobytes() == ref.tobytes()
+        assert calls == ["map_coordinates" if fill == 0.0 else "affine_transform"]
 
     def test_inner_support_takes_block_warp(self, monkeypatch):
         v = gaussian_heatmap(HeatmapSpec(), TargetPoint((10.0, 9.5, 11.0)), (21, 21, 21), (1, 1, 1))

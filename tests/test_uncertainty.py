@@ -41,7 +41,7 @@ from voxloc.uncertainty import (
     run_mode,
     run_tta,
 )
-from voxloc.volume import Volume3, support_box
+from voxloc.volume import Volume3, _from_block
 
 SP = (1.0, 1.0, 1.0)
 
@@ -102,28 +102,27 @@ class TestMeanVariance:
     @settings(max_examples=150, deadline=None)
     @given(st.sampled_from([np.float32, np.float64]), st.integers(2, 6), st.data())
     def test_sparse_samples_match_dense_sums_bitwise(self, dtype, n, data):
-        # each sample is 0 outside a drawn box (which may touch a face or hold only zeros)
+        # each sample holds a drawn box (which may touch a face or hold only zeros) and is 0 outside it
         dims = (7, 6, 5)
         values = st.floats(-2.0, 2.0, width=32) | st.sampled_from([0.0, -0.0, 1e-30, -1e-30])
-        samples = []
+        samples, boxes = [], []
         for _ in range(n):
             low = [data.draw(st.integers(0, d - 1)) for d in dims]
             high = [data.draw(st.integers(lo + 1, d)) for lo, d in zip(low, dims)]
             shape = tuple(hi - lo for lo, hi in zip(low, high))
             block = data.draw(st.lists(values, min_size=math.prod(shape), max_size=math.prod(shape)))
-            grid = np.zeros(dims, dtype=dtype)
-            grid[tuple(slice(lo, hi) for lo, hi in zip(low, high))] = np.reshape(block, shape)
-            samples.append(Volume3(grid, SP))
+            boxes.append(tuple(slice(lo, hi) for lo, hi in zip(low, high)))
+            samples.append(_from_block(np.reshape(block, shape).astype(dtype), boxes[-1], dims, SP))
         mean, var = mean_variance(samples)
-        # the maps' supports come from the union block, not a scan of the grid
-        boxes = mean.support, var.support
+        # the maps hold the union of the sample boxes
+        union = tuple(slice(min(b[a].start for b in boxes), max(b[a].stop for b in boxes)) for a in range(3))
+        assert (mean.support, var.support) == (union, union)
         assert "data" not in mean.__dict__ and "data" not in var.__dict__
         dense = [s.data.astype(np.float64) for s in samples]
         ref_mean = sum(dense) / n
         ref_var = np.maximum(sum(d * d for d in dense) / n - ref_mean * ref_mean, 0.0)
         assert mean.data.tobytes() == ref_mean.tobytes()
         assert var.data.tobytes() == ref_var.tobytes()
-        assert boxes == (support_box(mean.data), support_box(var.data))
 
     def test_dim_mismatch_rejected(self):
         with pytest.raises(ValueError, match="dims"):

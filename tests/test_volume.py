@@ -326,7 +326,7 @@ class TestSupportBox:
 
 
 class TestCachedSupport:
-    """``Volume3.support`` of a volume not built from a block is found on first use."""
+    """``Volume3.support`` is the box a volume holds, set when it is built; no read scans for it."""
 
     @pytest.mark.parametrize(
         "make",
@@ -340,29 +340,38 @@ class TestCachedSupport:
     )
     @pytest.mark.parametrize("points", [[], [(2, 1, 3)], [(0, 5, 1), (6, 2, 8)]], ids=["empty", "one", "two"])
     def test_filled_lazily_with_support_box(self, make, points):
+        # each of these holds its whole grid, zeros included, so its support is the whole grid
         data = np.zeros((7, 6, 9))
         for p in points:
             data[p] = 0.5
         v = make(data)
-        assert "support" not in v.__dict__
-        expected = support_box(v.data)
-        assert v.support == expected
-        assert v.__dict__["support"] == expected
+        whole = tuple(slice(0, n) for n in v.dims)
+        assert v.__dict__["support"] == whole  # set when built
         assert v.support is v.__dict__["support"]
+        box, block = _support_values(v)
+        assert "data" not in v.__dict__  # reading the support and its values builds no grid
+        assert box == whole
+        assert block.tobytes() == v.data.tobytes()
+        nonzero = support_box(v.data)
+        assert nonzero is None or all(s.start >= w.start and s.stop <= w.stop for s, w in zip(nonzero, whole))
 
     def test_first_use_from_many_threads_agrees(self):
-        # tta and hybrid sampler threads read one crop's support; each first read stores the same box
+        # tta and hybrid sampler threads read one heatmap at once: every thread sees the support set
+        # when it was built, and each first read of the grid stores an equal grid
         data = np.zeros((24, 20, 28))
         data[3:9, 15, 2:20] = 1.0
-        expected = support_box(data)
+        box = (slice(1, 12), slice(14, 17), slice(2, 20))
+        mirrored = (slice(12, 23),) + box[1:]
+        expected = data[::-1].tobytes()
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
             with ThreadPoolExecutor(6) as pool:
                 for _ in range(40):
-                    v = Volume3(data.copy(), (1, 1, 1))
-                    assert list(pool.map(lambda _: v.support, range(12), timeout=30)) == [expected] * 12
-                    assert v.__dict__["support"] == expected
+                    v = flip_lr(_from_block(data[box].copy(), box, data.shape, (1, 1, 1)))
+                    reads = list(pool.map(lambda _: (v.support, v.data), range(12), timeout=30))
+                    assert all(got == mirrored and grid.tobytes() == expected for got, grid in reads)
+                    assert v.__dict__["data"].tobytes() == expected
         finally:
             sys.setswitchinterval(old)
 
@@ -414,13 +423,14 @@ class TestBlockHeld:
         ref = dense_twin(block, box, dims)
         v = _from_block(block.copy(), box, dims, ref.spacing)
         assert isinstance(v, Volume3)
-        assert (v.dims, v.spacing, v.support) == (ref.dims, ref.spacing, support_box(ref.data))
+        assert (v.dims, v.spacing, v.support) == (ref.dims, ref.spacing, box if block.size else None)
+        assert ref.support == tuple(slice(0, n) for n in dims)
         assert "data" not in v.__dict__  # dims, spacing and support build no grid
-        found, expected = _support_values(v), _support_values(ref)
-        assert (found is None) == (expected is None)
+        found = _support_values(v)
+        assert (found is None) == (block.size == 0)
         if found is not None:
-            assert found[0] == expected[0]
-            assert found[1].tobytes() == expected[1].tobytes()
+            assert found[0] == box
+            assert found[1].tobytes() == ref.data[box].tobytes()
         assert "data" not in v.__dict__
         assert v.data.dtype == ref.data.dtype
         assert v.data.tobytes() == ref.data.tobytes()
@@ -430,7 +440,8 @@ class TestBlockHeld:
         v = _from_block(block.copy(), box, dims, ref.spacing)
         flipped = flip_lr(v)
         assert "data" not in flipped.__dict__
-        assert flipped.support == support_box(flip_lr(ref).data)
+        mirrored = (slice(dims[0] - box[0].stop, dims[0] - box[0].start),) + box[1:]
+        assert flipped.support == (mirrored if block.size else None)
         assert flipped.data.tobytes() == flip_lr(ref).data.tobytes()
         assert flip_lr(flipped).data.tobytes() == ref.data.tobytes()
 
