@@ -8,7 +8,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from voxloc.volume import Volume3, _from_block, _support_values
+from voxloc.volume import Volume3, _from_block
 
 __all__ = [
     "HeatmapSpec",
@@ -93,7 +93,7 @@ def gaussian_heatmap(spec: HeatmapSpec, center: TargetPoint, dims, spacing) -> V
     hi = list(dims)
     if math.isfinite(r_mm):
         for a in range(3):
-            lo[a] = max(0, int(math.floor((c[a] * spacing[a] - r_mm) / spacing[a])))
+            lo[a] = min(dims[a], max(0, int(math.floor((c[a] * spacing[a] - r_mm) / spacing[a]))))
             hi[a] = min(dims[a], int(math.ceil((c[a] * spacing[a] + r_mm) / spacing[a])) + 1)
     box = tuple(slice(lo[a], max(lo[a], hi[a])) for a in range(3))
     # squared mm distance decomposes per axis on the regular grid
@@ -123,14 +123,12 @@ def argmax_position(h: Volume3) -> TargetPoint:
     # in the grid's linear order, so the tie-break holds. A NaN in the box
     # (argmax stops there), a box of values <= 0 (only zeros, say) and an
     # empty box scan the grid.
-    found = _support_values(h)
-    if found is not None:
-        box, block = found
-        flat = block.ravel(order="F")
+    if h.block.size:
+        flat = h.block.ravel(order="F")
         idx = int(np.argmax(flat))
         if flat[idx] > 0:
-            pos = np.unravel_index(idx, block.shape, order="F")
-            return TargetPoint(tuple(float(s.start + p) for s, p in zip(box, pos)))
+            pos = np.unravel_index(idx, h.block.shape, order="F")
+            return TargetPoint(tuple(float(s.start + p) for s, p in zip(h.support, pos)))
     flat = h.ravel_linear()
     idx = int(np.argmax(flat))
     if np.isnan(flat[idx]):  # argmax stops at the first NaN; only then skip NaNs

@@ -26,7 +26,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from voxloc.heatmap import HeatmapSpec, TargetPoint, gaussian_heatmap
-from voxloc.volume import Volume3, _support_values, read_volume, rescale_intensity, write_volume
+from voxloc.volume import Volume3, read_volume, rescale_intensity, write_volume
 
 __all__ = [
     "InfeasibleSpecError",
@@ -192,8 +192,8 @@ def generate_phantom(spec: PhantomSpec) -> PhantomCase:
 
     marker = HeatmapSpec(sigma_mm=MARKER_SIGMA_MM, cutoff=0.004, peak=1.0)
     for truth in (truth_left, truth_right):
-        box, values = _support_values(gaussian_heatmap(marker, TargetPoint(truth.position), spec.dims, SPACING))
-        img[box] += MARKER_AMPLITUDE * values
+        h = gaussian_heatmap(marker, TargetPoint(truth.position), spec.dims, SPACING)
+        img[h.support] += MARKER_AMPLITUDE * h.block
 
     if spec.noise_std > 0:
         img += np.random.default_rng(spec.seed).normal(0.0, spec.noise_std, spec.dims)

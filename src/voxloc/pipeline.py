@@ -27,7 +27,7 @@ from scipy import ndimage
 from voxloc.heatmap import TargetPoint, argmax_position
 from voxloc.predictors import Localizer, Segmenter
 from voxloc.volume import (
-    Volume3, VoxelBox, _from_block, _nearest_index, _support_values, crop_box, downsample_to, flip_lr, support_box
+    Volume3, VoxelBox, _from_block, _nearest_index, crop_box, downsample_to, flip_lr, support_box
 )
 
 __all__ = [
@@ -38,8 +38,6 @@ __all__ = [
     "PipelineConfig",
     "SideResult",
     "PipelineResult",
-    "largest_connected_component",
-    "bounding_box_center",
     "run_pipeline",
 ]
 
@@ -133,19 +131,14 @@ class PipelineResult:
         }
 
 
-def largest_connected_component(mask: Volume3) -> Volume3:
-    """Keep only the largest 26-connected foreground component.
+def _largest_component(foreground: np.ndarray, spacing) -> Volume3:
+    """Keep only the largest 26-connected component of a boolean foreground grid.
 
     Size ties break to the component whose smallest linear index
     (x-fastest order) is smallest. Labelling covers only the box around
     the foreground; x-fastest order inside that box is the whole grid's
     order restricted to it, so the tie-break is the same.
     """
-    return _largest_component(mask.data > 0.5, mask.spacing)
-
-
-def _largest_component(foreground: np.ndarray, spacing) -> Volume3:
-    # largest_connected_component of a boolean foreground grid
     box = support_box(foreground)
     if box is None:
         raise EmptyComponentError("mask has no foreground voxels")
@@ -167,30 +160,18 @@ def _largest_component(foreground: np.ndarray, spacing) -> Volume3:
     return _from_block((labels == chosen).astype(np.float64), box, foreground.shape, spacing)
 
 
-def bounding_box_center(mask: Volume3) -> tuple[int, int, int]:
-    """Per-axis floor((min index + max index) / 2) of the foreground."""
-    binary = mask.data > 0.5
-    if not binary.any():
-        raise EmptyComponentError("mask has no foreground voxels")
-    center = []
-    for axis in range(3):
-        hits = np.flatnonzero(binary.any(axis=tuple(a for a in range(3) if a != axis)))
-        center.append(int((hits[0] + hits[-1]) // 2))
-    return tuple(center)
-
-
 def _native_center(component: Volume3, dims) -> tuple[int, int, int]:
-    """``bounding_box_center(downsample_to(component, dims, "nearest"))`` without the native mask.
+    """Center of the foreground box of ``downsample_to(component, dims, "nearest")`` without the native mask.
 
-    Native voxel ``(q0, q1, q2)`` copies coarse voxel ``(m0[q0], m1[q1],
-    m2[q2])``, with ``m_a`` from ``_nearest_index``. Only native voxels
-    whose maps all land in the box the component holds can be set, so
-    the box is read from the gather of just those.
+    The center is the per-axis floor((min index + max index) / 2) of the
+    voxels above 0.5. Native voxel ``(q0, q1, q2)`` copies coarse voxel
+    ``(m0[q0], m1[q1], m2[q2])``, with ``m_a`` from ``_nearest_index``.
+    Only native voxels whose maps all land in the box the component
+    holds can be set, so the box is read from the gather of just those.
     """
-    found = _support_values(component)
-    if found is None:
+    if not component.block.size:
         raise EmptyComponentError("mask has no foreground voxels")
-    box, values = found
+    box, values = component.support, component.block
     native, coarse = [], []
     for axis, span in enumerate(box):
         m = _nearest_index(component.dims[axis], dims[axis])

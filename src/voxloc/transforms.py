@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy import ndimage
 
-from voxloc.volume import Volume3, _from_block, _support_values, support_box
+from voxloc.volume import Volume3, _from_block, support_box
 
 __all__ = [
     "RigidTransform",
@@ -145,13 +145,12 @@ def _mapped_block(tf: RigidTransform, v: Volume3) -> tuple[slice, slice, slice] 
     forward image. The forward image of the box's 8 corners, rounded
     outward and padded by 1 voxel, covers that. (scipy sums a stencil
     from +0.0, so reads of -0.0 give +0.0 as they do outside the block.)
-    None when ``v`` holds nothing or its whole grid, or holds a nonzero
-    value on a face.
+    None when ``v``'s block is empty or fills its whole grid, or holds a
+    nonzero value on a face.
     """
-    found, dims = _support_values(v), v.dims
-    if found is None or found[0] == tuple(slice(0, n) for n in dims):
+    box, held, dims = v.support, v.block, v.dims
+    if not held.size or box == tuple(slice(0, n) for n in dims):
         return None
-    box, held = found
     on_faces = [held[(slice(None),) * a + (0,)] for a, s in enumerate(box) if s.start == 0]
     on_faces += [held[(slice(None),) * a + (-1,)] for a, s in enumerate(box) if s.stop == dims[a]]
     if any(face.any() for face in on_faces):
@@ -283,10 +282,6 @@ class TransformPriors:
         c0, c1 = self.curve_control_range
         if c0 < 0.0 or c1 > 1.0:
             raise ValueError("curve control range must lie inside [0,1]")
-
-    @classmethod
-    def identity(cls) -> "TransformPriors":
-        return cls(s_range=(0.0, 0.0), r_range=(0.0, 0.0), curve_control_range=(0.5, 0.5))
 
 
 def sample_axis(rng: np.random.Generator) -> np.ndarray:

@@ -27,10 +27,9 @@ argmax of the mean map.
 A sample costs the box its heatmap holds, not the crop.
 ``gaussian_heatmap`` returns a volume that holds only the block it
 computes, so an mcdo sample never fills or scans the 64^3 grid: the
-argmax and the two running sums read the values in its
-``Volume3.support`` box, the held box, straight from that block. In tta
-and hybrid the warp back also computes and holds only the block the box
-can reach. The mean and variance are computed only inside the union of
+argmax and the two running sums read its ``Volume3.block`` straight
+from the ``support`` box it sits on. In tta and hybrid the warp back
+also computes and holds only the block the box can reach. The mean and variance are computed only inside the union of
 the sample boxes and held as that block, and the final target's argmax
 scans only that union. A heatmap that fills the crop runs the full
 passes. One with a nonzero value on a face of the crop takes the
@@ -67,7 +66,7 @@ import numpy as np
 from voxloc.heatmap import TargetPoint, argmax_position
 from voxloc.predictors import Localizer
 from voxloc.transforms import TransformPriors, intensity_apply_inverse, rigid_apply, sample_transform
-from voxloc.volume import Volume3, _from_block, _support_values
+from voxloc.volume import Volume3, _from_block
 
 __all__ = [
     "SamplingError",
@@ -164,10 +163,8 @@ class _Accumulator:
             self.dims = v.dims
         elif v.dims != self.dims:
             raise ValueError(f"sample dims {v.dims} do not match {self.dims}")
-        found = _support_values(v)
-        if found is not None:
-            box, block = found
-            block = block.astype(np.float64, copy=False)
+        if v.block.size:
+            box, block = v.support, v.block.astype(np.float64, copy=False)
             self.total[box] += block
             self.total_sq[box] += block * block
             if self.union is not None:

@@ -50,10 +50,10 @@ class _Grid:
     def __get__(self, v, owner=None):
         if v is None:
             return self
-        grid = v._block
+        grid = v.block
         if grid.shape != v.dims:
-            grid = np.zeros(v.dims, dtype=v._block.dtype)
-            grid[v._box] = v._block
+            grid = np.zeros(v.dims, dtype=v.block.dtype)
+            grid[v.support] = v.block
             grid.setflags(write=False)
         v.__dict__["data"] = grid
         return grid
@@ -66,17 +66,20 @@ class Volume3:
         data: 3-D float array, shape equal to ``dims``, read-only.
         spacing: per-axis voxel spacing in mm, all entries finite and > 0.
         dims: the grid shape.
-        support: the box of the held block, or None when the block is
-            empty. The volume is +0.0 outside it; inside, the block may
-            hold zeros too, so it is not the nonzero box.
+        block: the held values, a read-only float array shaped like
+            ``support``.
+        support: the box of ``dims`` that ``block`` sits on, never None.
+            The volume is +0.0 outside it; inside, the block may hold
+            zeros too, so it is not the nonzero box. An empty block
+            keeps the (empty) box it was given.
 
     Every volume holds a read-only block on a box of its ``dims`` grid
     and is +0.0 outside it. The constructor's block is the whole grid;
-    ``_from_block`` holds a smaller one. Both set ``support`` and scan
-    nothing. ``data`` is built from the block on its first read and then
-    kept. Attributes cannot be set or deleted. Volumes compare and hash
-    by identity, and ``repr`` shows dims, spacing and box without
-    building the grid.
+    ``_from_block`` holds a smaller one. Both set ``block`` and
+    ``support`` and scan nothing. ``data`` is built from the block on
+    its first read and then kept. Attributes cannot be set or deleted.
+    Volumes compare and hash by identity, and ``repr`` shows dims,
+    spacing and box without building the grid.
     """
 
     def __init__(self, data: np.ndarray, spacing):
@@ -92,8 +95,7 @@ class Volume3:
             raise ValueError(f"spacing must be three finite reals > 0, got {spacing}")
         arr = arr.copy() if not arr.flags.owndata or arr.base is not None else arr
         arr.setflags(write=False)
-        self.__dict__.update(spacing=checked, dims=arr.shape, _block=arr, _box=tuple(slice(0, n) for n in arr.shape))
-        self.__dict__["support"] = self._box
+        self.__dict__.update(spacing=checked, dims=arr.shape, block=arr, support=tuple(slice(0, n) for n in arr.shape))
 
     def __setattr__(self, name, *value):
         raise AttributeError(f"Volume3 is immutable: cannot set or delete {name!r}")
@@ -101,7 +103,7 @@ class Volume3:
     __delattr__ = __setattr__
 
     def __repr__(self) -> str:
-        box = ", ".join(f"{s.start}:{s.stop}" for s in self._box)
+        box = ", ".join(f"{s.start}:{s.stop}" for s in self.support)
         return f"Volume3(dims={self.dims}, spacing={self.spacing}, box=[{box}])"
 
     data = _Grid()
@@ -248,9 +250,9 @@ def flip_lr(v: Volume3) -> Volume3:
 
     Only the block and its box are mirrored; the block is a C-ordered copy.
     """
-    n, box = v.dims[0], v._box
+    n, box = v.dims[0], v.support
     mirrored = (slice(n - box[0].stop, n - box[0].start),) + box[1:]
-    return _from_block(v._block[::-1].copy(), mirrored, v.dims, v.spacing)
+    return _from_block(v.block[::-1].copy(), mirrored, v.dims, v.spacing)
 
 
 def support_box(data: np.ndarray) -> tuple[slice, slice, slice] | None:
@@ -278,23 +280,14 @@ def support_box(data: np.ndarray) -> tuple[slice, slice, slice] | None:
 def _from_block(block: np.ndarray, box: tuple[slice, slice, slice], dims, spacing) -> Volume3:
     """A volume that holds float ``block`` on ``box`` and +0.0 elsewhere.
 
-    The block becomes read-only and is not copied. Its ``support`` is
-    ``box``, or None when the block is empty. Nothing is scanned or
-    filled here: ``data`` is built on first read.
+    The block becomes read-only and is not copied; it is the volume's
+    ``block`` and ``box`` is its ``support``, even when both are empty.
+    Nothing is scanned or filled here: ``data`` is built on first read.
     """
     block.setflags(write=False)
     v = object.__new__(Volume3)
-    v.__dict__.update(spacing=tuple(float(s) for s in spacing), dims=tuple(dims), _block=block, _box=tuple(box))
-    v.__dict__["support"] = v._box if block.size else None
+    v.__dict__.update(spacing=tuple(float(s) for s in spacing), dims=tuple(dims), block=block, support=tuple(box))
     return v
-
-
-def _support_values(v: Volume3) -> tuple[tuple[slice, slice, slice], np.ndarray] | None:
-    """``(v.support, v.data[v.support])``: the held box and block, so no grid is built; None when the block is empty.
-
-    The block may hold zeros, and then it is wider than the nonzero box.
-    """
-    return None if v.support is None else (v.support, v._block)
 
 
 # ---------------------------------------------------------------------------

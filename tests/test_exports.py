@@ -91,7 +91,8 @@ def layout_reads(tree: ast.Module) -> list[str]:
 
 
 def test_volume_layout_stays_in_volume_module():
-    # a volume's block and box are read through Volume3 and volume._support_values only
+    # other modules read a volume's held values as its ``block`` and ``support`` attributes,
+    # never through its ``__dict__`` or a private name for them
     found = {
         path.name: layout_reads(ast.parse(path.read_text()))
         for path in sorted(SRC_DIR.glob("*.py"))

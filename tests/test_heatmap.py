@@ -18,7 +18,9 @@ from voxloc.heatmap import (
     gaussian_heatmap,
     wmse,
 )
-from voxloc.volume import Volume3, _from_block, _support_values, flip_lr, support_box
+from voxloc.transforms import TransformPriors, rigid_apply, sample_transform
+from voxloc.uncertainty import mean_variance
+from voxloc.volume import Volume3, _from_block, flip_lr, support_box
 
 
 class TestHeatmapSpec:
@@ -156,14 +158,12 @@ class TestSeededSupport:
         dims, spacing, center = request
         with mock.patch("voxloc.volume.support_box", side_effect=AssertionError("support_box scanned a heatmap")):
             h = gaussian_heatmap(HeatmapSpec(sigma_mm=sigma, cutoff=cutoff), center, dims, spacing)
-            found = _support_values(h)
+            box, block = h.support, h.block
         assert "data" not in h.__dict__  # the box of the written block, not a scan of the grid
         nonzero = support_box(h.data)
-        if found is None:
-            assert h.support is None and nonzero is None
-            return
-        box, block = found
-        assert box == h.support
+        # the block fills its box, which lies in the grid and is empty only where the block is
+        assert block.shape == tuple(s.stop - s.start for s in box)
+        assert all(0 <= s.start <= s.stop <= n for s, n in zip(box, dims))
         assert block.tobytes() == h.data[box].tobytes()
         outside = h.data.copy()
         outside[box] = 0.0
@@ -171,10 +171,33 @@ class TestSeededSupport:
         assert nonzero is None or all(b.start <= n.start and n.stop <= b.stop for b, n in zip(box, nonzero))
 
     def test_off_grid_centre_has_no_support(self):
+        # the cutoff ball's box, clipped to the grid, is empty on axis 0 and is kept as the support
         h = gaussian_heatmap(HeatmapSpec(), TargetPoint((-40.0, 5.0, 5.0)), (10, 12, 14), (1, 1, 1))
-        assert h.support is None
+        assert h.support == (slice(0, 0), slice(1, 10), slice(1, 10))
+        assert h.block.shape == (0, 9, 9)
         assert "data" not in h.__dict__
         assert not h.data.any()
+
+    def test_empty_block_keeps_its_box_and_reads_as_zeros(self):
+        dims = (10, 12, 14)
+        h = gaussian_heatmap(HeatmapSpec(), TargetPoint((-40.0, 5.0, 5.0)), dims, (1, 1, 1))
+        flipped = flip_lr(h)
+        assert flipped.support == (slice(10, 10), slice(1, 10), slice(1, 10))  # the mirrored empty box
+        assert flipped.block.shape == (0, 9, 9)
+        # every consumer reads them as the dense all-zero grid they stand for
+        zeros = Volume3(np.zeros(dims), (1, 1, 1))
+        peak = gaussian_heatmap(HeatmapSpec(), TargetPoint((4.0, 6.0, 7.0)), dims, (1, 1, 1))
+        tf, _ = sample_transform(TransformPriors(), 3)
+        for v in (h, flipped):
+            assert argmax_position(v) == argmax_position(zeros) == TargetPoint((0.0, 0.0, 0.0))
+            out, ref = rigid_apply(tf, v), rigid_apply(tf, zeros)
+            assert out.support == ref.support == (slice(0, 0),) * 3
+            assert out.data.tobytes() == ref.data.tobytes()
+        maps = mean_variance([h, flipped, peak])
+        refs = mean_variance([zeros, zeros, peak])
+        for m, r in zip(maps, refs):
+            assert m.support == peak.support
+            assert m.data.tobytes() == r.data.tobytes()
 
 
 class TestArgmaxPosition:

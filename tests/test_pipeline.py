@@ -17,9 +17,8 @@ from voxloc.pipeline import (
     PipelineFailureError,
     SIDES,
     _coarse_centers,
+    _largest_component,
     _native_center,
-    bounding_box_center,
-    largest_connected_component,
     run_pipeline,
 )
 from voxloc.predictors import ConvNetLocalizer, ConvNetSpec, MarkerLocalizer, OracleLocalizerConfig, TruthMaskSegmenter
@@ -55,6 +54,23 @@ def components_bfs(mask: np.ndarray):
                     stack.append(q)
         comps.append(comp)
     return comps
+
+
+def largest_connected_component(mask: Volume3) -> Volume3:
+    """Stage 1's labelling of a mask volume's voxels above 0.5."""
+    return _largest_component(mask.data > 0.5, mask.spacing)
+
+
+def bounding_box_center(mask: Volume3) -> tuple[int, int, int]:
+    """Per-axis floor((min index + max index) / 2) of the voxels above 0.5, on the whole grid."""
+    binary = mask.data > 0.5
+    if not binary.any():
+        raise EmptyComponentError("mask has no foreground voxels")
+    center = []
+    for axis in range(3):
+        hits = np.flatnonzero(binary.any(axis=tuple(a for a in range(3) if a != axis)))
+        center.append(int((hits[0] + hits[-1]) // 2))
+    return tuple(center)
 
 
 def linear_index(p, dims):

@@ -22,7 +22,10 @@ from voxloc.transforms import (
     sample_transform,
 )
 from voxloc.heatmap import HeatmapSpec, TargetPoint, gaussian_heatmap
-from voxloc.volume import Volume3, _from_block, _support_values, support_box
+from voxloc.volume import Volume3, _from_block, support_box
+
+#: priors that draw only the identity transform and curve
+IDENTITY_PRIORS = TransformPriors(s_range=(0.0, 0.0), r_range=(0.0, 0.0), curve_control_range=(0.5, 0.5))
 
 
 def compact_smooth_volume(dims=(64, 64, 64)):
@@ -251,7 +254,7 @@ class TestSampleTransform:
         assert np.linalg.norm(axes.mean(axis=0)) <= 0.02
 
     def test_identity_priors(self):
-        tf, curve = sample_transform(TransformPriors.identity(), 7)
+        tf, curve = sample_transform(IDENTITY_PRIORS, 7)
         assert tf.angle_deg == 0.0
         assert tf.translation == (0.0, 0.0, 0.0)
         v = Volume3(np.linspace(0, 1, 27).reshape(3, 3, 3), (1, 1, 1))
@@ -318,8 +321,7 @@ class TestRigidApplySupportBounded:
         # targets anywhere on the grid, so some supports touch a face
         center = TargetPoint(tuple(w * (d - 1) for w, d in zip(where, dims)))
         h = gaussian_heatmap(HeatmapSpec(sigma_mm=sigma), center, dims, (1.0, 1.0, 1.0))
-        box, values = _support_values(h)
-        v = _from_block(values.astype(dtype), box, dims, h.spacing)
+        v = _from_block(h.block.astype(dtype), h.support, dims, h.spacing)
         tf, _ = sample_transform(TransformPriors(), seed)
         out = rigid_apply(tf, v, interpolation)
         ref = affine_reference(tf, v, interpolation)
@@ -356,9 +358,10 @@ class TestRigidApplySupportBounded:
         data[4:7, 10, 10] = 1.0
         v = held_on_nonzero_box(data)
         tf = RigidTransform((0, 0, 1), 10.0, (-30.0, 0.0, 0.0))
-        assert _mapped_block(tf, v)[0] == slice(0, 0)
+        block = _mapped_block(tf, v)
+        assert block[0] == slice(0, 0)
         out = rigid_apply(tf, v)
-        assert out.support is None
+        assert out.support == block and out.block.size == 0  # the empty block keeps its box
         assert not out.data.any()
         np.testing.assert_array_equal(out.data, affine_reference(tf, v, "trilinear"))
 
@@ -378,7 +381,8 @@ class TestRigidApplySupportBounded:
         calls = spy_warps(monkeypatch)
         tf, _ = sample_transform(TransformPriors(), 4)
         out = rigid_apply(tf, v)
-        assert out.support is None  # held on the empty box: no voxel of the warp is nonzero
+        assert out.support == (slice(0, 0),) * 3  # held on the empty box: no voxel of the warp is nonzero
+        assert out.block.size == 0
         assert not out.data.any()
         assert calls == ["affine_transform"]
 
@@ -404,13 +408,10 @@ class TestRigidApplySupportBounded:
         tf, _ = sample_transform(TransformPriors(), seed)
         out = rigid_apply(tf, v, interpolation)
         ref = affine_reference(tf, v, interpolation)
-        assert out.support == support_box(ref)
-        assert out._box == (out.support or (slice(0, 0),) * 3)  # the output holds only that box
-        found = _support_values(out)
+        assert out.support == (support_box(ref) or (slice(0, 0),) * 3)  # the output holds only that box
         assert "data" not in out.__dict__  # the held block is read without building the grid
-        if found is not None:
-            assert found[1].dtype == dtype
-            assert found[1].tobytes() == ref[found[0]].tobytes()
+        assert out.block.dtype == dtype
+        assert out.block.tobytes() == ref[out.support].tobytes()
         assert out.data.dtype == dtype
         assert out.data.tobytes() == ref.tobytes()
 
@@ -419,9 +420,8 @@ class TestRigidApplySupportBounded:
         # the held box reaches face 0 of axis 0, where it holds zeros unless filled; the full
         # warp turns a read of -0.0 into +0.0, as the block warp leaves every voxel outside it
         h = gaussian_heatmap(HeatmapSpec(), TargetPoint((4.2, 10.0, 10.0)), (21, 21, 21), (1, 1, 1))
-        box, values = _support_values(h)
+        box, values = h.support, h.block.copy()
         assert box[0].start == 0 and not values[0].any()
-        values = values.copy()
         values[0, 4, 4] = fill
         v = _from_block(values, box, h.dims, h.spacing)
         tf, _ = sample_transform(TransformPriors(), 5)

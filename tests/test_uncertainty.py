@@ -68,6 +68,8 @@ def bump(center, dims=(48, 48, 48), amplitude=0.9, floor=0.1):
 
 
 TRUTH = TargetPoint((24.0, 24.0, 24.0))
+#: priors that draw only the identity transform and curve
+IDENTITY_PRIORS = TransformPriors(s_range=(0.0, 0.0), r_range=(0.0, 0.0), curve_control_range=(0.5, 0.5))
 
 
 class TestMeanVariance:
@@ -268,7 +270,7 @@ class TestSampleMemory:
 class TestRunTta:
     def test_identity_priors_collapse(self):
         loc = MarkerLocalizer(OracleLocalizerConfig())
-        cfg = McConfig(mode="tta", n_samples=4, priors=TransformPriors.identity(), base_seed=1)
+        cfg = McConfig(mode="tta", n_samples=4, priors=IDENTITY_PRIORS, base_seed=1)
         s = run_tta(loc, bump((22.0, 25.0, 24.0)), cfg)
         assert s.mad == 0.0
 
@@ -319,7 +321,7 @@ class TestRunTta:
 class TestRunHybrid:
     def test_degenerate_sources_collapse(self):
         loc = MarkerLocalizer(OracleLocalizerConfig())  # no jitter
-        cfg = McConfig(mode="hybrid", n_samples=4, priors=TransformPriors.identity(), base_seed=1)
+        cfg = McConfig(mode="hybrid", n_samples=4, priors=IDENTITY_PRIORS, base_seed=1)
         assert run_mode(loc, bump((22.0, 25.0, 24.0)), cfg).mad == 0.0
 
     def test_hybrid_at_least_each_source(self):

@@ -20,7 +20,6 @@ from voxloc.volume import (
     Volume3,
     VoxelBox,
     _from_block,
-    _support_values,
     crop_box,
     downsample_to,
     flip_lr,
@@ -325,8 +324,8 @@ class TestSupportBox:
         assert support_box(data) == expected
 
 
-class TestCachedSupport:
-    """``Volume3.support`` is the box a volume holds, set when it is built; no read scans for it."""
+class TestDenseVolumeSupport:
+    """A dense volume holds its whole grid as its ``support``, set when it is built; no read scans for it."""
 
     @pytest.mark.parametrize(
         "make",
@@ -339,7 +338,7 @@ class TestCachedSupport:
         ids=["constructor", "flip-lr", "crop-box", "downsample"],
     )
     @pytest.mark.parametrize("points", [[], [(2, 1, 3)], [(0, 5, 1), (6, 2, 8)]], ids=["empty", "one", "two"])
-    def test_filled_lazily_with_support_box(self, make, points):
+    def test_support_is_whole_grid_set_at_construction(self, make, points):
         # each of these holds its whole grid, zeros included, so its support is the whole grid
         data = np.zeros((7, 6, 9))
         for p in points:
@@ -348,10 +347,9 @@ class TestCachedSupport:
         whole = tuple(slice(0, n) for n in v.dims)
         assert v.__dict__["support"] == whole  # set when built
         assert v.support is v.__dict__["support"]
-        box, block = _support_values(v)
+        assert v.block is v.__dict__["block"]
         assert "data" not in v.__dict__  # reading the support and its values builds no grid
-        assert box == whole
-        assert block.tobytes() == v.data.tobytes()
+        assert v.block.tobytes() == v.data.tobytes()
         nonzero = support_box(v.data)
         assert nonzero is None or all(s.start >= w.start and s.stop <= w.stop for s, w in zip(nonzero, whole))
 
@@ -423,14 +421,10 @@ class TestBlockHeld:
         ref = dense_twin(block, box, dims)
         v = _from_block(block.copy(), box, dims, ref.spacing)
         assert isinstance(v, Volume3)
-        assert (v.dims, v.spacing, v.support) == (ref.dims, ref.spacing, box if block.size else None)
+        assert (v.dims, v.spacing, v.support) == (ref.dims, ref.spacing, box)  # an empty block keeps its box
         assert ref.support == tuple(slice(0, n) for n in dims)
         assert "data" not in v.__dict__  # dims, spacing and support build no grid
-        found = _support_values(v)
-        assert (found is None) == (block.size == 0)
-        if found is not None:
-            assert found[0] == box
-            assert found[1].tobytes() == ref.data[box].tobytes()
+        assert v.block.tobytes() == ref.data[box].tobytes()
         assert "data" not in v.__dict__
         assert v.data.dtype == ref.data.dtype
         assert v.data.tobytes() == ref.data.tobytes()
@@ -441,7 +435,7 @@ class TestBlockHeld:
         flipped = flip_lr(v)
         assert "data" not in flipped.__dict__
         mirrored = (slice(dims[0] - box[0].stop, dims[0] - box[0].start),) + box[1:]
-        assert flipped.support == (mirrored if block.size else None)
+        assert flipped.support == mirrored
         assert flipped.data.tobytes() == flip_lr(ref).data.tobytes()
         assert flip_lr(flipped).data.tobytes() == ref.data.tobytes()
 
@@ -510,7 +504,7 @@ class TestPlainClass:
         assert v.data is v.__dict__["data"]  # the key the assert above reads is where the grid is kept
 
     @pytest.mark.parametrize("make", [dense_volume, block_held_volume], ids=["dense", "block-held"])
-    @pytest.mark.parametrize("name", ["data", "spacing", "dims", "support", "extra"])
+    @pytest.mark.parametrize("name", ["data", "spacing", "dims", "block", "support", "extra"])
     def test_attributes_cannot_be_set_or_deleted(self, make, name):
         v = make()
         before = dict(v.__dict__)
