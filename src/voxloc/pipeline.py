@@ -1,9 +1,11 @@
 """Two-stage localization: coarse segmentation, crop, fine localization.
 
-Stage 1 works on a copy of the scan resampled to ``COARSE_DIMS``:
-segment, binarize each foreground channel, keep the largest
-26-connected component and take the center of the bounding box that
-the component's nearest-neighbour copy on the native grid would have.
+Stage 1 asks the segmenter for probability maps on the ``COARSE_DIMS``
+grid; the pipeline builds no coarse copy of the scan, so a segmenter
+that reads the scan's values resamples it itself. It then binarizes
+each foreground channel, keeps the largest 26-connected component and
+takes the center of the bounding box that the component's
+nearest-neighbour copy on the native grid would have.
 That box is read from the coarse component and the per-axis index
 maps, so no native-grid mask is built. Stage 2 crops a
 ``CROP_EXTENT`` block around each center and runs the localizer in one
@@ -26,9 +28,7 @@ from scipy import ndimage
 
 from voxloc.heatmap import TargetPoint, argmax_position
 from voxloc.predictors import Localizer, Segmenter
-from voxloc.volume import (
-    Volume3, VoxelBox, _from_block, _nearest_index, crop_box, downsample_to, flip_lr, support_box
-)
+from voxloc.volume import Volume3, VoxelBox, _from_block, _nearest_index, crop_box, flip_lr, support_box
 
 __all__ = [
     "EmptyComponentError",
@@ -52,7 +52,7 @@ class PipelineFailureError(Exception):
     """Both sides failed; the pipeline has no output."""
 
 
-#: Grid of the stage-1 copy of the scan.
+#: Grid of the stage-1 probability maps.
 COARSE_DIMS = (80, 80, 80)
 #: Size in voxels of each stage-2 crop.
 CROP_EXTENT = (64, 64, 64)
@@ -190,11 +190,7 @@ def _native_center(component: Volume3, dims) -> tuple[int, int, int]:
 
 def _coarse_centers(cfg: PipelineConfig, image: Volume3, timings: dict) -> dict[str, tuple[int, int, int]]:
     t0 = time.perf_counter()
-    coarse = downsample_to(image, COARSE_DIMS, interpolation="trilinear")
-    timings["downsample"] = (time.perf_counter() - t0) * 1e3
-
-    t0 = time.perf_counter()
-    _, left_prob, right_prob = cfg.segmenter.predict(coarse)
+    _, left_prob, right_prob = cfg.segmenter.predict(image, COARSE_DIMS)
     timings["segment"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()

@@ -30,7 +30,7 @@ import numpy as np
 from scipy import ndimage, special
 
 from voxloc.heatmap import HeatmapSpec, TargetPoint, gaussian_heatmap
-from voxloc.volume import Volume3, downsample_to
+from voxloc.volume import Volume3, _resampled_spacing, downsample_to
 
 __all__ = [
     "Localizer",
@@ -85,9 +85,16 @@ class Localizer(Protocol):
 
 @runtime_checkable
 class Segmenter(Protocol):
-    """Probability maps for (background, left structure, right structure)."""
+    """Probability maps for (background, left structure, right structure) on a ``dims`` grid.
 
-    def predict(self, v: Volume3) -> tuple[Volume3, Volume3, Volume3]: ...
+    The maps cover the scan's physical extent, so their spacing is
+    ``image.dims * image.spacing / dims`` per axis. The pipeline passes
+    the native scan: a segmenter that reads its values resamples it
+    itself, as a trained stage-1 network would with
+    ``downsample_to(image, dims, "trilinear")``.
+    """
+
+    def predict(self, image: Volume3, dims: tuple[int, int, int]) -> tuple[Volume3, Volume3, Volume3]: ...
 
 
 class _TwoStageLocalizer:
@@ -458,15 +465,16 @@ def _stack_probabilities(left: np.ndarray, right: np.ndarray, spacing) -> tuple[
 class TruthMaskSegmenter:
     """Stage-1 stand-in that derives probabilities from known masks.
 
-    Masks are resampled (nearest) to the input grid and converted to
-    near-one-hot channel probabilities.
+    Masks are resampled (nearest) to the requested grid and converted to
+    near-one-hot channel probabilities. The scan's values are never
+    read, so the scan itself is not resampled.
     """
 
     def __init__(self, left_mask: Volume3, right_mask: Volume3):
         self.left_mask = left_mask
         self.right_mask = right_mask
 
-    def predict(self, v: Volume3) -> tuple[Volume3, Volume3, Volume3]:
-        left = _binarize(self.left_mask, v.dims)
-        right = _binarize(self.right_mask, v.dims)
-        return _stack_probabilities(left, right, v.spacing)
+    def predict(self, image: Volume3, dims: tuple[int, int, int]) -> tuple[Volume3, Volume3, Volume3]:
+        left = _binarize(self.left_mask, dims)
+        right = _binarize(self.right_mask, dims)
+        return _stack_probabilities(left, right, _resampled_spacing(image, dims))

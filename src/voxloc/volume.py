@@ -154,6 +154,11 @@ def _nearest_index(n_in: int, n_out: int) -> np.ndarray:
     return np.clip(np.rint(_positions(n_in, n_out)).astype(np.int64), 0, n_in - 1)
 
 
+def _resampled_spacing(v: Volume3, dims) -> tuple[float, float, float]:
+    """Spacing of a ``dims`` grid over ``v``'s physical extent: ``dims_in * spacing_in / dims_out`` per axis."""
+    return tuple(v.dims[a] * v.spacing[a] / dims[a] for a in range(3))
+
+
 def _interp_axis_linear(arr: np.ndarray, pos: np.ndarray, axis: int) -> np.ndarray:
     # Linear interpolation along one axis at fractional index positions,
     # accumulated in float64 whatever the input dtype (the promotion is
@@ -190,7 +195,6 @@ def downsample_to(v: Volume3, dims, interpolation: str = "trilinear") -> Volume3
         raise ValueError(f"target dims must be three positive ints, got {dims}")
     if interpolation not in ("trilinear", "nearest"):
         raise ValueError(f"unknown interpolation {interpolation!r}")
-    out_spacing = tuple(v.dims[a] * v.spacing[a] / dims[a] for a in range(3))
     # Axis-separable resampling: the grid mapping is axis-aligned, so one
     # 1-D interpolation pass per axis reproduces full trilinear sampling.
     out = v.data
@@ -199,7 +203,7 @@ def downsample_to(v: Volume3, dims, interpolation: str = "trilinear") -> Volume3
             out = _interp_axis_linear(out, _positions(v.dims[axis], dims[axis]), axis)
         else:
             out = np.take(out, _nearest_index(v.dims[axis], dims[axis]), axis=axis)
-    return Volume3(out.astype(v.data.dtype, copy=False), out_spacing)
+    return Volume3(out.astype(v.data.dtype, copy=False), _resampled_spacing(v, dims))
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Tests for the two-stage localization pipeline."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -8,6 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import ndimage
 
+import voxloc.pipeline
+import voxloc.predictors
+import voxloc.volume
 from voxloc.heatmap import HeatmapSpec, TargetPoint, gaussian_heatmap
 from voxloc.phantom import PhantomSpec, generate_phantom
 from voxloc.pipeline import (
@@ -23,7 +27,7 @@ from voxloc.pipeline import (
 )
 from voxloc.predictors import ConvNetLocalizer, ConvNetSpec, MarkerLocalizer, OracleLocalizerConfig, TruthMaskSegmenter
 from voxloc.uncertainty import McConfig, run_mode
-from voxloc.volume import Volume3, downsample_to, flip_lr, support_box
+from voxloc.volume import Volume3, _resampled_spacing, downsample_to, flip_lr, support_box
 
 SP = (1.0, 1.0, 1.0)
 
@@ -242,10 +246,10 @@ class TestNativeCenter:
 
     def test_empty_native_mask_escapes_the_pipeline(self):
         class OffGridSegmenter:
-            def predict(self, v):
-                prob = np.zeros(v.dims)
+            def predict(self, image, dims):
+                prob, sp = np.zeros(dims), _resampled_spacing(image, dims)
                 prob[10, 10, 10] = 1.0
-                return Volume3(1.0 - prob, v.spacing), Volume3(prob, v.spacing), Volume3(prob, v.spacing)
+                return Volume3(1.0 - prob, sp), Volume3(prob, sp), Volume3(prob, sp)
 
         cfg = PipelineConfig(OffGridSegmenter(), MarkerLocalizer(OracleLocalizerConfig()))
         # an 80-voxel coarse axis read by 2 native voxels samples coarse indices 0 and 40 only
@@ -257,12 +261,12 @@ class TestComponentLevel:
     def test_channel_value_of_one_half_is_foreground(self):
         # a large block at exactly 0.5 outweighs a small one at 0.96; a level of > 0.5 would keep the small one
         class HalfLevelSegmenter:
-            def predict(self, v):
-                left, right = np.zeros(v.dims), np.zeros(v.dims)
+            def predict(self, image, dims):
+                left, right, sp = np.zeros(dims), np.zeros(dims), _resampled_spacing(image, dims)
                 left[5:25, 5:25, 5:25] = 0.5
                 left[50:54, 50:54, 50:54] = 0.96
                 right[60:70, 30:40, 30:40] = 0.5
-                return Volume3(1.0 - left - right, v.spacing), Volume3(left, v.spacing), Volume3(right, v.spacing)
+                return Volume3(1.0 - left - right, sp), Volume3(left, sp), Volume3(right, sp)
 
         cfg = PipelineConfig(HalfLevelSegmenter(), MarkerLocalizer(OracleLocalizerConfig()))
         centers = _coarse_centers(cfg, Volume3(np.zeros(COARSE_DIMS), SP), {})
@@ -275,8 +279,8 @@ class SwappedSegmenter:
     def __init__(self, inner):
         self.inner = inner
 
-    def predict(self, v):
-        bg, left, right = self.inner.predict(v)
+    def predict(self, image, dims):
+        bg, left, right = self.inner.predict(image, dims)
         return bg, right, left
 
 
@@ -286,16 +290,27 @@ class HalfZeroSegmenter:
     def __init__(self, inner):
         self.inner = inner
 
-    def predict(self, v):
-        bg, left, _ = self.inner.predict(v)
+    def predict(self, image, dims):
+        bg, left, _ = self.inner.predict(image, dims)
         zero = Volume3(np.zeros(left.dims), left.spacing)
         return bg, left, zero
 
 
 class ZeroSegmenter:
-    def predict(self, v):
-        zero = Volume3(np.zeros(v.dims), v.spacing)
-        return Volume3(np.ones(v.dims), v.spacing), zero, zero
+    def predict(self, image, dims):
+        sp = _resampled_spacing(image, dims)
+        zero = Volume3(np.zeros(dims), sp)
+        return Volume3(np.ones(dims), sp), zero, zero
+
+
+class ResamplingSegmenter:
+    """Reads the scan as a trained stage-1 network would: resample it to ``dims``, then segment."""
+
+    def __init__(self, inner):
+        self.inner = inner
+
+    def predict(self, image, dims):
+        return self.inner.predict(downsample_to(image, dims, interpolation="trilinear"), dims)
 
 
 class FixedPointLocalizer:
@@ -381,6 +396,38 @@ class TestPipelineEndToEnd:
             np.testing.assert_array_equal(a.sides[side].heatmap.data, b.sides[side].heatmap.data)
 
 
+class TestStage1Resampling:
+    @pytest.mark.parametrize(
+        "reads_scan, expected",
+        [(False, ["nearest", "nearest"]), (True, ["trilinear", "nearest", "nearest"])],
+        ids=["grid-only", "reads-scan"],
+    )
+    def test_only_a_segmenter_that_reads_the_scan_resamples_it(self, phantom_case, monkeypatch, reads_scan, expected):
+        calls, original = [], downsample_to
+
+        def spy(v, dims, interpolation="trilinear"):
+            calls.append(interpolation)
+            return original(v, dims, interpolation)
+
+        for module in (voxloc.volume, voxloc.predictors, voxloc.pipeline, sys.modules[__name__]):
+            if vars(module).get("downsample_to") is original:
+                monkeypatch.setattr(module, "downsample_to", spy)
+        seg = TruthMaskSegmenter(phantom_case.left_mask, phantom_case.right_mask)
+        run_pipeline(make_config(phantom_case, segmenter=ResamplingSegmenter(seg) if reads_scan else seg), phantom_case.image)
+        assert calls == expected  # the two masks' nearest passes, and the scan's own pass only if it is read
+
+    def test_segmenter_that_reads_the_scan_gives_the_same_result(self, phantom_case):
+        grid_only = run_pipeline(make_config(phantom_case), phantom_case.image)
+        seg = ResamplingSegmenter(TruthMaskSegmenter(phantom_case.left_mask, phantom_case.right_mask))
+        reading = run_pipeline(make_config(phantom_case, segmenter=seg), phantom_case.image)
+        assert reading.failed_sides == grid_only.failed_sides == ()
+        for side in SIDES:
+            a, b = grid_only.sides[side], reading.sides[side]
+            assert a.box == b.box
+            assert a.target.position == b.target.position
+            assert a.local_crop.data.tobytes() == b.local_crop.data.tobytes()
+
+
 class TestStage1Memory:
     def test_peak_of_one_run_on_a_128_cube(self):
         # numpy reports its buffers to tracemalloc; a native-grid float64 mask
@@ -419,8 +466,7 @@ class TestCoordinateMapping:
     def test_crop_center_matches_stage1_center(self, phantom_case):
         cfg = make_config(phantom_case)
         result = run_pipeline(cfg, phantom_case.image)
-        coarse = downsample_to(phantom_case.image, COARSE_DIMS, interpolation="trilinear")
-        _, left_prob, right_prob = cfg.segmenter.predict(coarse)
+        _, left_prob, right_prob = cfg.segmenter.predict(phantom_case.image, COARSE_DIMS)
         for side, prob in (("left", left_prob), ("right", right_prob)):
             comp = largest_connected_component(Volume3((prob.data >= 0.5).astype(float), prob.spacing))
             full = downsample_to(comp, phantom_case.image.dims, interpolation="nearest")
@@ -448,7 +494,7 @@ class TestPipelineResult:
 
     def test_timing_keys(self, phantom_case):
         result = run_pipeline(make_config(phantom_case), phantom_case.image)
-        assert {"downsample", "segment", "components", "crop", "localize", "total"} <= set(result.timings_ms)
+        assert {"segment", "components", "crop", "localize", "total"} <= set(result.timings_ms)
         assert all(v >= 0 for v in result.timings_ms.values())
 
     def test_targets_property(self, phantom_case):

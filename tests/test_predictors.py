@@ -473,14 +473,14 @@ class TestTruthMaskSegmenter:
 
     def test_probabilities_sum_to_one(self):
         seg, _, _ = self.seg_for()
-        bg, l, r = seg.predict(blank(self.dims))
+        bg, l, r = seg.predict(blank(self.dims), self.dims)
         np.testing.assert_allclose(bg.data + l.data + r.data, 1.0, atol=1e-12)
         for ch in (bg, l, r):
             assert ch.data.min() >= 0.0 and ch.data.max() <= 1.0
 
     def test_clean_argmax_recovers_masks_exactly(self):
         seg, left, right = self.seg_for()
-        bg, l, r = seg.predict(blank(self.dims))
+        bg, l, r = seg.predict(blank(self.dims), self.dims)
         stacked = np.stack([bg.data, l.data, r.data])
         labels = np.argmax(stacked, axis=0)
         np.testing.assert_array_equal(labels == 1, left)
@@ -488,7 +488,7 @@ class TestTruthMaskSegmenter:
 
     def test_foreground_probability_above_half(self):
         seg, left, right = self.seg_for()
-        _, l, r = seg.predict(blank(self.dims))
+        _, l, r = seg.predict(blank(self.dims), self.dims)
         assert l.data[left].min() >= 0.5
         assert r.data[right].min() >= 0.5
 
@@ -497,7 +497,7 @@ class TestTruthMaskSegmenter:
         left96, right96 = self.make_masks((96, 96, 96))
         sp2 = (0.5, 0.5, 0.5)
         seg = TruthMaskSegmenter(Volume3(left96.astype(float), sp2), Volume3(right96.astype(float), sp2))
-        _, l, r = seg.predict(blank(self.dims))
+        _, l, r = seg.predict(blank(self.dims), self.dims)
         np.testing.assert_array_equal(l.data > 0.5, left96[::2, ::2, ::2])
         np.testing.assert_array_equal(r.data > 0.5, right96[::2, ::2, ::2])
 
@@ -506,7 +506,7 @@ class TestTruthMaskSegmenter:
         m = np.zeros((8, 8, 8))
         m[2:6, 2:6, 2:6] = 1.0
         seg = TruthMaskSegmenter(Volume3(m, sp), Volume3(m, sp))
-        bg, l, r = seg.predict(blank((8, 8, 8)))
+        bg, l, r = seg.predict(blank((8, 8, 8)), (8, 8, 8))
         assert bg.data.min() >= 0.0
         np.testing.assert_allclose(bg.data + l.data + r.data, 1.0, atol=1e-12)
         assert l.data[3, 3, 3] == pytest.approx(r.data[3, 3, 3])
@@ -516,7 +516,7 @@ class TestTruthMaskSegmenter:
         left, right = self.make_masks()
         sp = (1.0, 1.0, 1.0)
         seg = TruthMaskSegmenter(Volume3(left.astype(float), sp), Volume3(right.astype(float), sp))
-        bg, l, r = seg.predict(blank(self.dims))
+        bg, l, r = seg.predict(blank(self.dims), self.dims)
         assert isinstance(bg, Volume3)
         assert (l.data > 0.5).sum() == left.sum()
 
