@@ -105,18 +105,16 @@ def rigid_apply(tf: RigidTransform, v: Volume3, interpolation: str = "trilinear"
     box is smaller than the grid and every voxel of it on a face of the
     grid is zero, only the output block the box can reach is resampled,
     and the output holds that block (every other voxel is exactly 0)
-    without filling the grid. An empty block warps to the empty box
-    without a pass. Any other input (any volume built by ``Volume3``, or
-    one with a nonzero value on a face) takes the full-grid warp, because
-    clamped edge reads can then carry that value anywhere. Its output is
-    held on ``support_box`` of the warped values, so a heatmap near a
-    face stays a small block for the passes after it, at the cost of six
-    face reads for a dense image. All paths give the same bits.
+    without filling the grid. Any other input (any volume built by
+    ``Volume3``, an empty one, or one with a nonzero value on a face)
+    takes the full-grid warp, because clamped edge reads can then carry
+    that value anywhere. Its output is held on ``support_box`` of
+    the warped values, so a heatmap near a face stays a small block for
+    the passes after it, at the cost of six face reads for a dense
+    image. Both paths give the same bits.
     """
     if interpolation not in ("trilinear", "nearest"):
         raise ValueError(f"unknown interpolation {interpolation!r}")
-    if not v.block.size:  # the full warp of an all-zero grid holds nothing either
-        return _from_block(np.zeros((0, 0, 0), dtype=v.block.dtype), (slice(0, 0),) * 3, v.dims, v.spacing)
     pivot = tf.resolve_pivot(v.dims)
     rot_inv = rotation_matrix(tf.axis, -tf.angle_deg)
     offset = pivot - rot_inv @ (pivot + np.asarray(tf.translation))
@@ -147,11 +145,11 @@ def _mapped_block(tf: RigidTransform, v: Volume3) -> tuple[slice, slice, slice] 
     forward image. The forward image of the box's 8 corners, rounded
     outward and padded by 1 voxel, covers that. (scipy sums a stencil
     from +0.0, so reads of -0.0 give +0.0 as they do outside the block.)
-    ``v``'s block must not be empty. None when it fills its whole grid
-    or holds a nonzero value on a face.
+    None when ``v``'s block is empty or fills its whole grid, or holds a
+    nonzero value on a face.
     """
     box, held, dims = v.support, v.block, v.dims
-    if box == tuple(slice(0, n) for n in dims):
+    if not held.size or box == tuple(slice(0, n) for n in dims):
         return None
     on_faces = [held[(slice(None),) * a + (0,)] for a, s in enumerate(box) if s.start == 0]
     on_faces += [held[(slice(None),) * a + (-1,)] for a, s in enumerate(box) if s.stop == dims[a]]

@@ -397,12 +397,8 @@ class TestPipelineEndToEnd:
 
 
 class TestStage1Resampling:
-    @pytest.mark.parametrize(
-        "reads_scan, expected",
-        [(False, ["nearest", "nearest"]), (True, ["trilinear", "nearest", "nearest"])],
-        ids=["grid-only", "reads-scan"],
-    )
-    def test_only_a_segmenter_that_reads_the_scan_resamples_it(self, phantom_case, monkeypatch, reads_scan, expected):
+    def test_only_a_segmenter_that_reads_the_scan_resamples_it(self, phantom_case, monkeypatch):
+        grid_only = run_pipeline(make_config(phantom_case), phantom_case.image)
         calls, original = [], downsample_to
 
         def spy(v, dims, interpolation="trilinear"):
@@ -413,13 +409,11 @@ class TestStage1Resampling:
             if vars(module).get("downsample_to") is original:
                 monkeypatch.setattr(module, "downsample_to", spy)
         seg = TruthMaskSegmenter(phantom_case.left_mask, phantom_case.right_mask)
-        run_pipeline(make_config(phantom_case, segmenter=ResamplingSegmenter(seg) if reads_scan else seg), phantom_case.image)
-        assert calls == expected  # the two masks' nearest passes, and the scan's own pass only if it is read
-
-    def test_segmenter_that_reads_the_scan_gives_the_same_result(self, phantom_case):
-        grid_only = run_pipeline(make_config(phantom_case), phantom_case.image)
-        seg = ResamplingSegmenter(TruthMaskSegmenter(phantom_case.left_mask, phantom_case.right_mask))
-        reading = run_pipeline(make_config(phantom_case, segmenter=seg), phantom_case.image)
+        run_pipeline(make_config(phantom_case, segmenter=seg), phantom_case.image)
+        assert calls == ["nearest", "nearest"]  # the two masks' passes; the scan is not resampled
+        calls.clear()
+        reading = run_pipeline(make_config(phantom_case, segmenter=ResamplingSegmenter(seg)), phantom_case.image)
+        assert calls == ["trilinear", "nearest", "nearest"]  # a segmenter that reads the scan resamples it
         assert reading.failed_sides == grid_only.failed_sides == ()
         for side in SIDES:
             a, b = grid_only.sides[side], reading.sides[side]

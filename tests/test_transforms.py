@@ -386,26 +386,6 @@ class TestRigidApplySupportBounded:
         assert not out.data.any()
         assert calls == ["affine_transform"]
 
-    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
-    def test_empty_block_gives_empty_box_without_a_warp(self, dtype, monkeypatch):
-        # a heatmap centred off the crop holds nothing, so no resampler runs
-        h = gaussian_heatmap(HeatmapSpec(), TargetPoint((-20.0, 30.0, 30.0)), (64, 64, 64), (1.0, 1.0, 1.0))
-        assert h.block.size == 0
-        v = _from_block(h.block.astype(dtype), h.support, h.dims, h.spacing)
-        tf, _ = sample_transform(TransformPriors(), 5)
-        ref = affine_reference(tf, _from_block(h.block.astype(dtype), h.support, h.dims, h.spacing), "trilinear")
-
-        def refuse(*args, **kwargs):
-            raise AssertionError("an empty block needs no warp")
-
-        for name in ("affine_transform", "map_coordinates"):
-            monkeypatch.setattr(ndimage, name, refuse)
-        out = rigid_apply(tf, v)
-        assert out.support == (slice(0, 0),) * 3
-        assert out.block.shape == (0, 0, 0) and out.block.dtype == dtype
-        assert "data" not in v.__dict__  # the input grid is never built
-        assert out.data.tobytes() == ref.tobytes()
-
     @settings(max_examples=100, deadline=None)
     @given(
         dims=st.tuples(*(st.integers(8, 24),) * 3),
