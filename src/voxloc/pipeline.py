@@ -1,13 +1,13 @@
 """Two-stage localization: coarse segmentation, crop, fine localization.
 
-Stage 1 asks the segmenter for probability maps on the ``COARSE_DIMS``
-grid; the pipeline builds no coarse copy of the scan, so a segmenter
-that reads the scan's values resamples it itself. It then binarizes
-each foreground channel, keeps the largest 26-connected component and
-takes the center of the bounding box that the component's
-nearest-neighbour copy on the native grid would have.
-That box is read from the coarse component and the per-axis index
-maps, so no native-grid mask is built. Stage 2 crops a
+Stage 1 asks the segmenter for two boolean foreground masks, left and
+right, on the ``COARSE_DIMS`` grid; the segmenter owns that decision,
+and the pipeline builds no coarse copy of the scan, so a segmenter that
+reads the scan's values resamples it itself. For each mask it keeps the
+largest 26-connected component and takes the center of the bounding
+box that the component's nearest-neighbour copy on the native grid
+would have. That box is read from the coarse component and the
+per-axis index maps, so no native-grid mask is built. Stage 2 crops a
 ``CROP_EXTENT`` block around each center and runs the localizer in one
 frame for both sides: the left crop is mirrored along axis 0 so it
 shares the right-side orientation. ``SideResult`` owns that crop frame.
@@ -28,7 +28,7 @@ from scipy import ndimage
 
 from voxloc.heatmap import TargetPoint, argmax_position
 from voxloc.predictors import Localizer, Segmenter
-from voxloc.volume import Volume3, VoxelBox, _from_block, _nearest_index, crop_box, flip_lr, support_box
+from voxloc.volume import Volume3, VoxelBox, _nearest_index, crop_box, flip_lr, support_box
 
 __all__ = [
     "EmptyComponentError",
@@ -52,7 +52,7 @@ class PipelineFailureError(Exception):
     """Both sides failed; the pipeline has no output."""
 
 
-#: Grid of the stage-1 probability maps.
+#: Grid of the stage-1 foreground masks.
 COARSE_DIMS = (80, 80, 80)
 #: Size in voxels of each stage-2 crop.
 CROP_EXTENT = (64, 64, 64)
@@ -131,12 +131,13 @@ class PipelineResult:
         }
 
 
-def _largest_component(foreground: np.ndarray, spacing) -> Volume3:
-    """Keep only the largest 26-connected component of a boolean foreground grid.
+def _largest_component(foreground: np.ndarray) -> tuple[tuple[slice, slice, slice], np.ndarray]:
+    """The largest 26-connected component of a boolean foreground grid, as ``(box, block)``.
 
-    Size ties break to the component whose smallest linear index
-    (x-fastest order) is smallest. Labelling covers only the box around
-    the foreground; x-fastest order inside that box is the whole grid's
+    ``block`` is the component's boolean mask on ``box``, the box around
+    the whole foreground. Size ties break to the component whose
+    smallest linear index (x-fastest order) is smallest. Labelling
+    covers only that box; x-fastest order inside it is the whole grid's
     order restricted to it, so the tie-break is the same.
     """
     box = support_box(foreground)
@@ -145,7 +146,7 @@ def _largest_component(foreground: np.ndarray, spacing) -> Volume3:
     binary = foreground[box]
     labels, n = ndimage.label(binary, structure=_NEIGHBOURS)
     if n == 1:
-        return _from_block(binary.astype(np.float64), box, foreground.shape, spacing)
+        return box, binary
     counts = np.bincount(labels.ravel())
     counts[0] = 0
     best_count = counts.max()
@@ -157,50 +158,50 @@ def _largest_component(foreground: np.ndarray, spacing) -> Volume3:
         first_seen, first_index = np.unique(flat, return_index=True)
         by_label = dict(zip(first_seen.tolist(), first_index.tolist()))
         chosen = min(candidates, key=lambda lab: by_label[lab])
-    return _from_block((labels == chosen).astype(np.float64), box, foreground.shape, spacing)
+    return box, labels == chosen
 
 
-def _native_center(component: Volume3, dims) -> tuple[int, int, int]:
-    """Center of the foreground box of ``downsample_to(component, dims, "nearest")`` without the native mask.
+def _native_center(box: tuple[slice, slice, slice], block: np.ndarray, coarse_dims, dims) -> tuple[int, int, int]:
+    """Center of the foreground box that a nearest copy of ``block`` on ``dims`` would have.
 
+    ``block`` is a boolean mask held on ``box`` of a ``coarse_dims`` grid.
     The center is the per-axis floor((min index + max index) / 2) of the
-    voxels above 0.5. Native voxel ``(q0, q1, q2)`` copies coarse voxel
+    native voxels set. Native voxel ``(q0, q1, q2)`` copies coarse voxel
     ``(m0[q0], m1[q1], m2[q2])``, with ``m_a`` from ``_nearest_index``.
-    Only native voxels whose maps all land in the box the component
-    holds can be set, so the box is read from the gather of just those.
+    Only native voxels whose maps all land in ``box`` can be set, so the
+    box is read from the gather of just those; no native mask is built.
     """
-    if not component.block.size:
-        raise EmptyComponentError("mask has no foreground voxels")
-    box, values = component.support, component.block
     native, coarse = [], []
     for axis, span in enumerate(box):
-        m = _nearest_index(component.dims[axis], dims[axis])
+        m = _nearest_index(coarse_dims[axis], dims[axis])
         q = np.flatnonzero((m >= span.start) & (m < span.stop))
         native.append(q)
         coarse.append(m[q] - span.start)
-    block = values[np.ix_(*coarse)] > 0.5
-    if not block.any():
+    hit = block[np.ix_(*coarse)]
+    if not hit.any():
         raise EmptyComponentError("mask has no foreground voxels on the native grid")
     center = []
     for axis, q in enumerate(native):
-        hits = q[block.any(axis=tuple(a for a in range(3) if a != axis))]
+        hits = q[hit.any(axis=tuple(a for a in range(3) if a != axis))]
         center.append(int((hits[0] + hits[-1]) // 2))
     return tuple(center)
 
 
 def _coarse_centers(cfg: PipelineConfig, image: Volume3, timings: dict) -> dict[str, tuple[int, int, int]]:
     t0 = time.perf_counter()
-    _, left_prob, right_prob = cfg.segmenter.predict(image, COARSE_DIMS)
+    masks = cfg.segmenter.predict(image, COARSE_DIMS)
     timings["segment"] = (time.perf_counter() - t0) * 1e3
 
     t0 = time.perf_counter()
     centers: dict[str, tuple[int, int, int]] = {}
-    for side, prob in (("left", left_prob), ("right", right_prob)):
+    for side, foreground in zip(SIDES, masks):
+        if foreground.dtype != bool or foreground.shape != COARSE_DIMS:
+            raise TypeError(f"{side} mask must be boolean and shaped {COARSE_DIMS}, got {foreground.dtype} {foreground.shape}")
         try:
-            component = _largest_component(prob.data >= 0.5, prob.spacing)
+            box, block = _largest_component(foreground)
         except EmptyComponentError:
             continue
-        centers[side] = _native_center(component, image.dims)
+        centers[side] = _native_center(box, block, COARSE_DIMS, image.dims)
     timings["components"] = (time.perf_counter() - t0) * 1e3
 
     # orientation guard: the left structure has the smaller axis-0 center

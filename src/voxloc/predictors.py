@@ -15,8 +15,8 @@ their composition:
   which makes it equivariant under spatial augmentation.
 * ``EchoLocalizer``: returns its input, handy for chain-reduction tests.
 
-Segmentation is stage-1 plumbing here, so ``TruthMaskSegmenter`` wraps
-known phantom masks.
+Segmentation is stage-1 plumbing here, so ``TruthMaskSegmenter`` hands
+the pipeline known phantom masks as its two boolean foreground masks.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from scipy import ndimage, special
 
 from voxloc.heatmap import HeatmapSpec, TargetPoint, gaussian_heatmap
-from voxloc.volume import Volume3, _resampled_spacing, downsample_to
+from voxloc.volume import Volume3, downsample_to
 
 __all__ = [
     "Localizer",
@@ -85,16 +85,18 @@ class Localizer(Protocol):
 
 @runtime_checkable
 class Segmenter(Protocol):
-    """Probability maps for (background, left structure, right structure) on a ``dims`` grid.
+    """Stage-1 foreground masks ``(left, right)`` on a ``dims`` grid.
 
-    The maps cover the scan's physical extent, so their spacing is
-    ``image.dims * image.spacing / dims`` per axis. The pipeline passes
+    Each mask is a boolean array shaped ``dims`` that covers the scan's
+    physical extent; the segmenter owns the foreground decision, as a
+    trained network's own threshold or argmax would, and the pipeline
+    rejects any other mask with ``TypeError``. The pipeline passes
     the native scan: a segmenter that reads its values resamples it
     itself, as a trained stage-1 network would with
     ``downsample_to(image, dims, "trilinear")``.
     """
 
-    def predict(self, image: Volume3, dims: tuple[int, int, int]) -> tuple[Volume3, Volume3, Volume3]: ...
+    def predict(self, image: Volume3, dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]: ...
 
 
 class _TwoStageLocalizer:
@@ -437,36 +439,17 @@ class EchoLocalizer(_TwoStageLocalizer):
 # segmenters
 # ---------------------------------------------------------------------------
 
-_P_FG = 0.96
-_P_OFF = 0.02
-
-
 def _binarize(v: Volume3, dims) -> np.ndarray:
     if v.dims != tuple(dims):
         v = downsample_to(v, dims, interpolation="nearest")
     return v.data > 0.5
 
 
-def _stack_probabilities(left: np.ndarray, right: np.ndarray, spacing) -> tuple[Volume3, Volume3, Volume3]:
-    p_left = np.where(left, _P_FG, _P_OFF)
-    p_right = np.where(right, _P_FG, _P_OFF)
-    both = left & right
-    if both.any():  # overlapping structures: split the foreground mass
-        p_left[both] = 0.49
-        p_right[both] = 0.49
-    p_bg = 1.0 - p_left - p_right
-    return (
-        Volume3(p_bg, spacing),
-        Volume3(p_left, spacing),
-        Volume3(p_right, spacing),
-    )
-
-
 class TruthMaskSegmenter:
-    """Stage-1 stand-in that derives probabilities from known masks.
+    """Stage-1 stand-in that reads known masks.
 
-    Masks are resampled (nearest) to the requested grid and converted to
-    near-one-hot channel probabilities. The scan's values are never
+    Masks are resampled (nearest) to the requested grid. A voxel that
+    both masks hold belongs to neither side. The scan's values are never
     read, so the scan itself is not resampled.
     """
 
@@ -474,7 +457,7 @@ class TruthMaskSegmenter:
         self.left_mask = left_mask
         self.right_mask = right_mask
 
-    def predict(self, image: Volume3, dims: tuple[int, int, int]) -> tuple[Volume3, Volume3, Volume3]:
+    def predict(self, image: Volume3, dims: tuple[int, int, int]) -> tuple[np.ndarray, np.ndarray]:
         left = _binarize(self.left_mask, dims)
         right = _binarize(self.right_mask, dims)
-        return _stack_probabilities(left, right, _resampled_spacing(image, dims))
+        return left & ~right, right & ~left

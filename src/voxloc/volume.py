@@ -11,7 +11,7 @@ Conventions used throughout the package:
   linear index ``i + dims[0] * (j + dims[1] * k)``, i.e. Fortran order
   of the ``(i, j, k)`` array.
 * Out-of-bounds reads clamp to the nearest edge voxel during
-  resampling; cropping instead pads with an explicit pad value.
+  resampling; cropping instead pads with 0.0.
 """
 
 from __future__ import annotations
@@ -154,11 +154,6 @@ def _nearest_index(n_in: int, n_out: int) -> np.ndarray:
     return np.clip(np.rint(_positions(n_in, n_out)).astype(np.int64), 0, n_in - 1)
 
 
-def _resampled_spacing(v: Volume3, dims) -> tuple[float, float, float]:
-    """Spacing of a ``dims`` grid over ``v``'s physical extent: ``dims_in * spacing_in / dims_out`` per axis."""
-    return tuple(v.dims[a] * v.spacing[a] / dims[a] for a in range(3))
-
-
 def _interp_axis_linear(arr: np.ndarray, pos: np.ndarray, axis: int) -> np.ndarray:
     # Linear interpolation along one axis at fractional index positions,
     # accumulated in float64 whatever the input dtype (the promotion is
@@ -203,7 +198,8 @@ def downsample_to(v: Volume3, dims, interpolation: str = "trilinear") -> Volume3
             out = _interp_axis_linear(out, _positions(v.dims[axis], dims[axis]), axis)
         else:
             out = np.take(out, _nearest_index(v.dims[axis], dims[axis]), axis=axis)
-    return Volume3(out.astype(v.data.dtype, copy=False), _resampled_spacing(v, dims))
+    spacing = tuple(v.dims[a] * v.spacing[a] / dims[a] for a in range(3))
+    return Volume3(out.astype(v.data.dtype, copy=False), spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -227,15 +223,15 @@ def rescale_intensity(v: Volume3) -> Volume3:
     return Volume3(out.astype(v.data.dtype, copy=False), v.spacing)
 
 
-def crop_box(v: Volume3, box: VoxelBox, pad_value: float = 0.0) -> Volume3:
-    """Extract an axis-aligned box, padding out-of-bounds voxels.
+def crop_box(v: Volume3, box: VoxelBox) -> Volume3:
+    """Extract an axis-aligned box, padding out-of-bounds voxels with 0.0.
 
     Output voxel ``q`` is input voxel ``box.low + q``; spacing is
-    preserved. Regions outside the input get ``pad_value`` exactly (no
-    edge clamping here, unlike resampling).
+    preserved. Regions outside the input get 0.0 exactly (no edge
+    clamping here, unlike resampling).
     """
     low = box.low
-    out = np.full(box.extent, pad_value, dtype=v.data.dtype)
+    out = np.zeros(box.extent, dtype=v.data.dtype)
     src = []
     dst = []
     for a in range(3):

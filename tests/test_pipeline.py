@@ -20,14 +20,13 @@ from voxloc.pipeline import (
     PipelineConfig,
     PipelineFailureError,
     SIDES,
-    _coarse_centers,
     _largest_component,
     _native_center,
     run_pipeline,
 )
 from voxloc.predictors import ConvNetLocalizer, ConvNetSpec, MarkerLocalizer, OracleLocalizerConfig, TruthMaskSegmenter
 from voxloc.uncertainty import McConfig, run_mode
-from voxloc.volume import Volume3, _resampled_spacing, downsample_to, flip_lr, support_box
+from voxloc.volume import Volume3, _from_block, downsample_to, flip_lr, support_box
 
 SP = (1.0, 1.0, 1.0)
 
@@ -61,8 +60,9 @@ def components_bfs(mask: np.ndarray):
 
 
 def largest_connected_component(mask: Volume3) -> Volume3:
-    """Stage 1's labelling of a mask volume's voxels above 0.5."""
-    return _largest_component(mask.data > 0.5, mask.spacing)
+    """Stage 1's labelling of a mask volume's voxels above 0.5, as a volume held on the component's box."""
+    box, block = _largest_component(mask.data > 0.5)
+    return _from_block(block.astype(np.float64), box, mask.dims, mask.spacing)
 
 
 def bounding_box_center(mask: Volume3) -> tuple[int, int, int]:
@@ -135,14 +135,13 @@ class TestLargestConnectedComponent:
             largest_connected_component(Volume3(np.zeros((4, 4, 4)), SP))
 
 
-def full_grid_largest(mask: Volume3) -> Volume3:
-    """``largest_connected_component`` as first written: labels the whole grid."""
-    binary = mask.data > 0.5
-    if not binary.any():
+def full_grid_largest(mask: np.ndarray) -> np.ndarray:
+    """Stage 1's labelling as first written: labels the whole boolean grid."""
+    if not mask.any():
         raise EmptyComponentError("mask has no foreground voxels")
-    labels, n = ndimage.label(binary, structure=ndimage.generate_binary_structure(3, 3))
+    labels, n = ndimage.label(mask, structure=ndimage.generate_binary_structure(3, 3))
     if n == 1:
-        return Volume3(binary.astype(np.float64), mask.spacing)
+        return mask
     counts = np.bincount(labels.ravel())
     counts[0] = 0
     candidates = np.flatnonzero(counts == counts.max())
@@ -152,7 +151,7 @@ def full_grid_largest(mask: Volume3) -> Volume3:
         first_seen, first_index = np.unique(labels.ravel(order="F"), return_index=True)
         by_label = dict(zip(first_seen.tolist(), first_index.tolist()))
         chosen = min(candidates, key=lambda lab: by_label[lab])
-    return Volume3((labels == chosen).astype(np.float64), mask.spacing)
+    return labels == chosen
 
 
 @st.composite
@@ -185,21 +184,20 @@ class TestBoxBoundedLabelling:
     @settings(max_examples=400, deadline=None)
     @given(mask=masks(max_side=12))
     def test_matches_full_grid_reference(self, mask):
-        v = Volume3(mask.astype(np.float64), (1.0, 2.0, 0.5))
         if not mask.any():
-            for fn in (largest_connected_component, full_grid_largest):
+            for fn in (_largest_component, full_grid_largest):
                 with pytest.raises(EmptyComponentError):
-                    fn(v)
+                    fn(mask)
             return
-        out = largest_connected_component(v)
-        ref = full_grid_largest(v)
-        assert out.data.dtype == ref.data.dtype
-        assert out.spacing == ref.spacing
-        assert out.data.tobytes() == ref.data.tobytes()
-        # held on the labelled box, the foreground's; a smaller component is zero in the rest of it
-        assert out.support == support_box(mask)
-        kept = support_box(ref.data)
-        assert all(s.start <= k.start and k.stop <= s.stop for s, k in zip(out.support, kept))
+        box, block = _largest_component(mask)
+        ref = full_grid_largest(mask)
+        # a boolean block on the labelled box, the foreground's; a smaller component is False in the rest of it
+        assert block.dtype == bool
+        assert box == support_box(mask)
+        assert block.shape == tuple(s.stop - s.start for s in box)
+        out = np.zeros(mask.shape, dtype=bool)
+        out[box] = block
+        np.testing.assert_array_equal(out, ref)
 
 
 class TestBoundingBoxCenter:
@@ -233,23 +231,25 @@ class TestNativeCenter:
         from_labelling=st.booleans(),
     )
     def test_matches_center_of_nearest_resampled_mask(self, mask, native, from_labelling):
-        component = Volume3(mask.astype(np.float64), SP)
+        box, block = tuple(slice(0, n) for n in mask.shape), mask
         if from_labelling and mask.any():
-            component = largest_connected_component(component)  # held on its foreground's box
+            box, block = _largest_component(mask)  # held on its foreground's box
+        component = np.zeros(mask.shape)
+        component[box] = block
         try:
-            expected = bounding_box_center(downsample_to(component, native, interpolation="nearest"))
+            expected = bounding_box_center(downsample_to(Volume3(component, SP), native, interpolation="nearest"))
         except EmptyComponentError:
             with pytest.raises(EmptyComponentError):
-                _native_center(component, native)
+                _native_center(box, block, mask.shape, native)
             return
-        assert _native_center(component, native) == expected
+        assert _native_center(box, block, mask.shape, native) == expected
 
     def test_empty_native_mask_escapes_the_pipeline(self):
         class OffGridSegmenter:
             def predict(self, image, dims):
-                prob, sp = np.zeros(dims), _resampled_spacing(image, dims)
-                prob[10, 10, 10] = 1.0
-                return Volume3(1.0 - prob, sp), Volume3(prob, sp), Volume3(prob, sp)
+                mask = np.zeros(dims, dtype=bool)
+                mask[10, 10, 10] = True
+                return mask, mask
 
         cfg = PipelineConfig(OffGridSegmenter(), MarkerLocalizer(OracleLocalizerConfig()))
         # an 80-voxel coarse axis read by 2 native voxels samples coarse indices 0 and 40 only
@@ -257,50 +257,32 @@ class TestNativeCenter:
             run_pipeline(cfg, Volume3(np.zeros((2, 2, 2)), SP))
 
 
-class TestComponentLevel:
-    def test_channel_value_of_one_half_is_foreground(self):
-        # a large block at exactly 0.5 outweighs a small one at 0.96; a level of > 0.5 would keep the small one
-        class HalfLevelSegmenter:
-            def predict(self, image, dims):
-                left, right, sp = np.zeros(dims), np.zeros(dims), _resampled_spacing(image, dims)
-                left[5:25, 5:25, 5:25] = 0.5
-                left[50:54, 50:54, 50:54] = 0.96
-                right[60:70, 30:40, 30:40] = 0.5
-                return Volume3(1.0 - left - right, sp), Volume3(left, sp), Volume3(right, sp)
-
-        cfg = PipelineConfig(HalfLevelSegmenter(), MarkerLocalizer(OracleLocalizerConfig()))
-        centers = _coarse_centers(cfg, Volume3(np.zeros(COARSE_DIMS), SP), {})
-        assert centers == {"left": (14, 14, 14), "right": (64, 34, 34)}
-
-
 class SwappedSegmenter:
-    """Returns the channels with left and right exchanged."""
+    """Returns the masks with left and right exchanged."""
 
     def __init__(self, inner):
         self.inner = inner
 
     def predict(self, image, dims):
-        bg, left, right = self.inner.predict(image, dims)
-        return bg, right, left
+        left, right = self.inner.predict(image, dims)
+        return right, left
 
 
 class HalfZeroSegmenter:
-    """Valid left channel, empty right channel."""
+    """Valid left mask, empty right mask."""
 
     def __init__(self, inner):
         self.inner = inner
 
     def predict(self, image, dims):
-        bg, left, _ = self.inner.predict(image, dims)
-        zero = Volume3(np.zeros(left.dims), left.spacing)
-        return bg, left, zero
+        left, _ = self.inner.predict(image, dims)
+        return left, np.zeros(dims, dtype=bool)
 
 
 class ZeroSegmenter:
     def predict(self, image, dims):
-        sp = _resampled_spacing(image, dims)
-        zero = Volume3(np.zeros(dims), sp)
-        return Volume3(np.ones(dims), sp), zero, zero
+        zero = np.zeros(dims, dtype=bool)
+        return zero, zero
 
 
 class ResamplingSegmenter:
@@ -381,6 +363,20 @@ class TestPipelineEndToEnd:
         with pytest.raises(PipelineFailureError):
             run_pipeline(cfg, phantom_case.image)
 
+    @pytest.mark.parametrize(
+        "make_mask",
+        [lambda dims: np.full(dims, 0.02), lambda dims: np.zeros((40, 40, 40), dtype=bool)],
+        ids=["float-map", "wrong-grid"],
+    )
+    def test_masks_that_break_the_contract_are_rejected(self, phantom_case, make_mask):
+        # a probability map would read 0.02 as foreground; a mask on another grid would be read as 80^3
+        class ContractBreakingSegmenter:
+            def predict(self, image, dims):
+                return make_mask(dims), make_mask(dims)
+
+        with pytest.raises(TypeError, match="left mask must be boolean and shaped"):
+            run_pipeline(make_config(phantom_case, segmenter=ContractBreakingSegmenter()), phantom_case.image)
+
     def test_single_side_failure_reported(self, phantom_case):
         seg = HalfZeroSegmenter(TruthMaskSegmenter(phantom_case.left_mask, phantom_case.right_mask))
         result = run_pipeline(make_config(phantom_case, segmenter=seg), phantom_case.image)
@@ -460,9 +456,10 @@ class TestCoordinateMapping:
     def test_crop_center_matches_stage1_center(self, phantom_case):
         cfg = make_config(phantom_case)
         result = run_pipeline(cfg, phantom_case.image)
-        _, left_prob, right_prob = cfg.segmenter.predict(phantom_case.image, COARSE_DIMS)
-        for side, prob in (("left", left_prob), ("right", right_prob)):
-            comp = largest_connected_component(Volume3((prob.data >= 0.5).astype(float), prob.spacing))
+        masks = cfg.segmenter.predict(phantom_case.image, COARSE_DIMS)
+        for side, mask in zip(SIDES, masks):
+            assert mask.dtype == bool and mask.shape == COARSE_DIMS
+            comp = largest_connected_component(Volume3(mask.astype(float), SP))
             full = downsample_to(comp, phantom_case.image.dims, interpolation="nearest")
             assert result.sides[side].box.center == bounding_box_center(full)
 

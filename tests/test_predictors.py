@@ -471,54 +471,44 @@ class TestTruthMaskSegmenter:
             right,
         )
 
-    def test_probabilities_sum_to_one(self):
-        seg, _, _ = self.seg_for()
-        bg, l, r = seg.predict(blank(self.dims), self.dims)
-        np.testing.assert_allclose(bg.data + l.data + r.data, 1.0, atol=1e-12)
-        for ch in (bg, l, r):
-            assert ch.data.min() >= 0.0 and ch.data.max() <= 1.0
-
     def test_clean_argmax_recovers_masks_exactly(self):
         seg, left, right = self.seg_for()
-        bg, l, r = seg.predict(blank(self.dims), self.dims)
-        stacked = np.stack([bg.data, l.data, r.data])
-        labels = np.argmax(stacked, axis=0)
-        np.testing.assert_array_equal(labels == 1, left)
-        np.testing.assert_array_equal(labels == 2, right)
-
-    def test_foreground_probability_above_half(self):
-        seg, left, right = self.seg_for()
-        _, l, r = seg.predict(blank(self.dims), self.dims)
-        assert l.data[left].min() >= 0.5
-        assert r.data[right].min() >= 0.5
+        l, r = seg.predict(blank(self.dims), self.dims)
+        np.testing.assert_array_equal(l, left)
+        np.testing.assert_array_equal(r, right)
 
     def test_masks_resampled_to_input_grid(self):
         # 96-grid masks consumed on a 48 grid: nearest sampling lands on even indices
         left96, right96 = self.make_masks((96, 96, 96))
         sp2 = (0.5, 0.5, 0.5)
         seg = TruthMaskSegmenter(Volume3(left96.astype(float), sp2), Volume3(right96.astype(float), sp2))
-        _, l, r = seg.predict(blank(self.dims), self.dims)
-        np.testing.assert_array_equal(l.data > 0.5, left96[::2, ::2, ::2])
-        np.testing.assert_array_equal(r.data > 0.5, right96[::2, ::2, ::2])
+        l, r = seg.predict(blank(self.dims), self.dims)
+        np.testing.assert_array_equal(l, left96[::2, ::2, ::2])
+        np.testing.assert_array_equal(r, right96[::2, ::2, ::2])
 
     def test_overlapping_masks_keep_valid_probabilities(self):
         sp = (1.0, 1.0, 1.0)
         m = np.zeros((8, 8, 8))
         m[2:6, 2:6, 2:6] = 1.0
-        seg = TruthMaskSegmenter(Volume3(m, sp), Volume3(m, sp))
-        bg, l, r = seg.predict(blank((8, 8, 8)), (8, 8, 8))
-        assert bg.data.min() >= 0.0
-        np.testing.assert_allclose(bg.data + l.data + r.data, 1.0, atol=1e-12)
-        assert l.data[3, 3, 3] == pytest.approx(r.data[3, 3, 3])
+        m2 = np.zeros((8, 8, 8))
+        m2[4:8, 2:6, 2:6] = 1.0
+        seg = TruthMaskSegmenter(Volume3(m, sp), Volume3(m2, sp))
+        l, r = seg.predict(blank((8, 8, 8)), (8, 8, 8))
+        # the overlap [4:6] on axis 0 belongs to neither side; the rest keeps its own side
+        assert not (l | r)[4:6, 2:6, 2:6].any()
+        np.testing.assert_array_equal(l, (m > 0) & ~(m2 > 0))
+        np.testing.assert_array_equal(r, (m2 > 0) & ~(m > 0))
 
     def test_synthetic_segment_wrapper(self):
-        # truth masks in, three Volume3 probability channels out
+        # truth masks in, two boolean foreground masks shaped like the grid out
         left, right = self.make_masks()
         sp = (1.0, 1.0, 1.0)
         seg = TruthMaskSegmenter(Volume3(left.astype(float), sp), Volume3(right.astype(float), sp))
-        bg, l, r = seg.predict(blank(self.dims), self.dims)
-        assert isinstance(bg, Volume3)
-        assert (l.data > 0.5).sum() == left.sum()
+        masks = seg.predict(blank(self.dims), self.dims)
+        assert len(masks) == 2
+        for mask in masks:
+            assert isinstance(mask, np.ndarray) and mask.dtype == bool and mask.shape == self.dims
+        assert masks[0].sum() == left.sum()
 
     def test_satisfies_segmenter_protocol(self):
         seg, _, _ = self.seg_for()

@@ -244,7 +244,7 @@ class TestCropBox:
     def test_center_block_exact_copy(self):
         rng = np.random.default_rng(2)
         v = Volume3(rng.random((128, 128, 128)), (1, 1, 1))
-        out = crop_box(v, VoxelBox((64, 64, 64), (64, 64, 64)), pad_value=0.0)
+        out = crop_box(v, VoxelBox((64, 64, 64), (64, 64, 64)))
         np.testing.assert_array_equal(out.data, v.data[32:96, 32:96, 32:96])
 
     def test_pad_oracle(self):
@@ -253,7 +253,7 @@ class TestCropBox:
         v = Volume3(rng.random((8, 8, 8)), (1, 1, 1))
         padded = np.zeros((12, 12, 12))
         padded[2:10, 2:10, 2:10] = v.data
-        out = crop_box(v, VoxelBox((0, 0, 0), (4, 4, 4)), pad_value=0.0)
+        out = crop_box(v, VoxelBox((0, 0, 0), (4, 4, 4)))
         np.testing.assert_array_equal(out.data, padded[0:4, 0:4, 0:4])
 
     def test_single_voxel(self):
@@ -267,19 +267,13 @@ class TestCropBox:
         rng = np.random.default_rng(6)
         v = Volume3(rng.random((40, 40, 40)), (1, 1, 1))
         for center, extent in [((20, 20, 20), (64, 64, 64)), ((5, 30, 11), (7, 8, 9))]:
-            out = crop_box(v, VoxelBox(center, extent), pad_value=-1.0)
+            out = crop_box(v, VoxelBox(center, extent))
             q = tuple(e // 2 for e in extent)
             assert out.data[q] == v.data[center]
 
-    def test_custom_pad_value(self):
-        v = Volume3(np.ones((4, 4, 4)), (1, 1, 1))
-        out = crop_box(v, VoxelBox((0, 0, 0), (4, 4, 4)), pad_value=9.5)
-        assert out.data[0, 0, 0] == 9.5
-        assert out.data[2, 2, 2] == 1.0
-
     def test_fully_outside(self):
         v = Volume3(np.ones((4, 4, 4)), (1, 1, 1))
-        out = crop_box(v, VoxelBox((100, 100, 100), (4, 4, 4)), pad_value=0.0)
+        out = crop_box(v, VoxelBox((100, 100, 100), (4, 4, 4)))
         assert np.all(out.data == 0.0)
 
     def test_rejects_bad_extent(self):
