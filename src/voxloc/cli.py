@@ -16,6 +16,7 @@ from voxloc.experiment import (
     EXIT_IO,
     EXIT_USAGE,
     MODE_ORDER,
+    ExperimentConfig,
     SchemaError,
     UsageError,
     cmd_analyze,
@@ -27,11 +28,6 @@ from voxloc.experiment import (
 __all__ = ["main", "build_parser"]
 
 log = logging.getLogger(__name__)
-
-
-def _parse_modes(text: str) -> tuple[str, ...]:
-    modes = tuple(m.strip() for m in text.split(",") if m.strip())
-    return modes
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -48,14 +44,14 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--seed", type=int, default=None, help="override the config seed")
 
     gen = sub.add_parser("generate", parents=[common], help="write a phantom cohort to disk")
-    gen.add_argument("--out", type=Path, default=None, help="cohort directory")
-    gen.add_argument("--n", type=int, default=None, help="number of cases")
+    gen.add_argument("--out", dest="cohort_dir", metavar="OUT", type=Path, default=None, help="cohort directory")
+    gen.add_argument("--n", dest="n_cases", metavar="N", type=int, default=None, help="number of cases")
     gen.add_argument("--n-hard", type=int, default=None, help="number of hard cases")
     gen.add_argument("--dims", type=str, default=None, help="grid size, e.g. 128,128,128")
 
     run = sub.add_parser("run", parents=[common], help="run the pipeline over a cohort")
-    run.add_argument("--cohort", type=Path, default=None, help="cohort directory")
-    run.add_argument("--out", type=Path, default=None, help="output directory")
+    run.add_argument("--cohort", dest="cohort_dir", metavar="COHORT", type=Path, default=None, help="cohort directory")
+    run.add_argument("--out", dest="out_dir", metavar="OUT", type=Path, default=None, help="output directory")
     run.add_argument("--workers", type=int, default=None, help="case threads (1: the calling thread)")
     run.add_argument(
         "--modes",
@@ -67,8 +63,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     ana = sub.add_parser("analyze", parents=[common], help="turn results into a report")
     ana.add_argument("--results", type=Path, default=None, help="results.csv from a run")
-    ana.add_argument("--cohort", type=Path, default=None, help="cohort directory (for labels)")
-    ana.add_argument("--out", type=Path, default=None, help="report directory")
+    ana.add_argument(
+        "--cohort", dest="cohort_dir", metavar="COHORT", type=Path, default=None, help="cohort directory (for labels)"
+    )
+    ana.add_argument("--out", dest="report_dir", metavar="OUT", type=Path, default=None, help="report directory")
     return parser
 
 
@@ -82,39 +80,24 @@ def _dims_triple(text: str) -> tuple[int, int, int]:
         raise UsageError(f"--dims wants three integers, got {text!r}") from exc
 
 
+# flags whose text becomes a tuple field; directory flags are Paths and go in as str
+_TUPLE_FLAGS = {"dims": _dims_triple, "modes": lambda text: tuple(m.strip() for m in text.split(",") if m.strip())}
+
+
 def _dispatch(args: argparse.Namespace) -> int:
+    # a flag overrides the config field its dest names
+    overrides = {
+        name: str(value) if isinstance(value, Path) else _TUPLE_FLAGS.get(name, lambda v: v)(value)
+        for name, value in vars(args).items()
+        if name in ExperimentConfig.__dataclass_fields__ and value is not None
+    }
+    cfg = load_config(args.config, **overrides)
     if args.command == "generate":
-        cfg = load_config(
-            args.config,
-            seed=args.seed,
-            cohort_dir=str(args.out) if args.out else None,
-            n_cases=args.n,
-            n_hard=args.n_hard,
-            dims=_dims_triple(args.dims) if args.dims is not None else None,
-        )
         return cmd_generate(cfg)
     if args.command == "run":
-        cfg = load_config(
-            args.config,
-            seed=args.seed,
-            cohort_dir=str(args.cohort) if args.cohort else None,
-            out_dir=str(args.out) if args.out else None,
-            workers=args.workers,
-            modes=_parse_modes(args.modes) if args.modes is not None else None,
-            n_samples=args.n_samples,
-        )
         return cmd_run(cfg)
-    if args.command == "analyze":
-        cfg = load_config(
-            args.config,
-            seed=args.seed,
-            cohort_dir=str(args.cohort) if args.cohort else None,
-        )
-        results = args.results if args.results else Path(cfg.out_dir) / "results.csv"
-        out_dir = args.out if args.out else Path(cfg.out_dir)
-        manifest = Path(cfg.cohort_dir) / "manifest.json"
-        return cmd_analyze(results, manifest, out_dir)
-    raise UsageError(f"unknown command {args.command!r}")
+    out = Path(cfg.out_dir)
+    return cmd_analyze(args.results or out / "results.csv", Path(cfg.cohort_dir) / "manifest.json", args.report_dir or out)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -131,15 +114,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return _dispatch(args)
-    except UsageError as exc:
+    except (UsageError, SchemaError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except SchemaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
+        return EXIT_USAGE if isinstance(exc, UsageError) else EXIT_IO
 
 
 if __name__ == "__main__":

@@ -22,6 +22,7 @@ the pipeline known phantom masks as its two boolean foreground masks.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Protocol, runtime_checkable
@@ -276,9 +277,15 @@ def load_weights(manifest_path: str | Path) -> list[tuple[np.ndarray, np.ndarray
     layers = manifest.get("layers", [])
     if not isinstance(layers, list) or not all(isinstance(layer, dict) for layer in layers):
         raise InvalidModelError(f"layers must be a list of objects, got {layers!r} in {manifest_path}")
-    total = sum(
-        int(np.prod(layer["weight"])) + int(np.prod(layer["bias"])) for layer in layers
-    )
+    for layer in layers:
+        for key in ("weight", "bias"):
+            dims = layer.get(key)
+            if not isinstance(dims, list) or not all(type(n) is int and n >= 1 for n in dims):
+                raise InvalidModelError(
+                    f"layer {key} dims must be a list of integers >= 1, got {dims!r} in {manifest_path}"
+                )
+    # Python ints: a product past int64 cannot wrap the count as np.prod would
+    total = sum(math.prod(layer["weight"]) + math.prod(layer["bias"]) for layer in layers)
     if len(raw) != total * 4:
         raise InvalidModelError(
             f"weight payload length mismatch: expected {total * 4} bytes, got {len(raw)}"
@@ -287,10 +294,8 @@ def load_weights(manifest_path: str | Path) -> list[tuple[np.ndarray, np.ndarray
     weights = []
     offset = 0
     for layer in layers:
-        w_shape = tuple(int(n) for n in layer["weight"])
-        b_shape = tuple(int(n) for n in layer["bias"])
-        w_size = int(np.prod(w_shape))
-        b_size = int(np.prod(b_shape))
+        w_shape, b_shape = tuple(layer["weight"]), tuple(layer["bias"])
+        w_size, b_size = math.prod(w_shape), math.prod(b_shape)
         w = flat[offset : offset + w_size].reshape(w_shape).astype(np.float64)
         offset += w_size
         b = flat[offset : offset + b_size].reshape(b_shape).astype(np.float64)

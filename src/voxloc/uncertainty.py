@@ -1,9 +1,10 @@
 """Sampling-based uncertainty: dropout passes, augmentation passes, MAD.
 
 One sampler serves all three modes. Each mode fixes two switches: whether
-a sample is augmented and whether the predictor is stochastic. Sample
-``i`` is seeded with ``base_seed + i``, and every sample is drawn with
-the localizer's ``sample`` from a ``prepare``d state:
+a sample is augmented and whether the predictor is stochastic. One
+function, ``_sample``, draws sample ``i`` of any mode, seeded with
+``base_seed + i``, with the localizer's ``sample`` from a ``prepare``d
+state:
 
 * mcdo: stochastic predictor on the untransformed input, prepared once
   for all N samples (a failed ``prepare`` is sample 0's failure). A
@@ -55,6 +56,7 @@ malloc arena) and a finished sample or two in flight; with
 from __future__ import annotations
 
 import contextvars
+import functools
 import operator
 import os
 from concurrent.futures import Future, ThreadPoolExecutor
@@ -215,13 +217,6 @@ def _sample_threads(n_samples: int) -> int:
     return min(n_samples, cpus)
 
 
-def _draw(sample_fn: Callable[[int], Volume3], i: int) -> Volume3:
-    try:
-        return sample_fn(i)
-    except Exception as exc:  # noqa: BLE001 - re-raised with the index
-        raise SamplingError(i, str(exc)) from exc
-
-
 def _aggregate(cfg: McConfig, sample_fn: Callable[[int], Volume3], threads: int = 1) -> UncertaintySummary:
     # Sample i is drawn by a helper thread when i % threads != 0, else by
     # this thread, and samples are consumed in index order, so the sums,
@@ -237,9 +232,9 @@ def _aggregate(cfg: McConfig, sample_fn: Callable[[int], Volume3], threads: int 
         for i in range(cfg.n_samples):
             while pool is not None and submitted < min(cfg.n_samples, i + 2 * threads):
                 if submitted % threads:
-                    pending[submitted] = pool.submit(_draw, sample_fn, submitted)
+                    pending[submitted] = pool.submit(sample_fn, submitted)
                 submitted += 1
-            sample = pending.pop(i).result() if i in pending else _draw(sample_fn, i)
+            sample = pending.pop(i).result() if i in pending else sample_fn(i)
             acc.add(sample)
             positions[i] = argmax_position(sample).as_array
             if kept is not None:
@@ -263,15 +258,24 @@ def _aggregate(cfg: McConfig, sample_fn: Callable[[int], Volume3], threads: int 
     )
 
 
-def _augmented_sample(
-    loc: Localizer, v: Volume3, seed: int, priors: TransformPriors, stochastic: bool
-) -> Volume3:
-    """One augmented sample: each transformed input is prepared on its own."""
-    tf, curve = sample_transform(priors, seed)
-    undone = rigid_apply(tf.invert(), v, interpolation="trilinear")
-    latent = intensity_apply_inverse(curve, undone)
-    heat = loc.sample(loc.prepare(latent), stochastic, seed)
-    return rigid_apply(tf, heat, interpolation="trilinear")
+def _sample(loc: Localizer, v: Volume3, state, cfg: McConfig, i: int) -> Volume3:
+    """Sample ``i`` of ``cfg.mode``; any failure is re-raised as ``SamplingError(i)``.
+
+    mcdo samples ``state``, the prepared ``v``. tta and hybrid undo a
+    drawn augmentation on ``v``, prepare the result on its own, sample it
+    and warp the heatmap back; they do not read ``state``.
+    """
+    augment, stochastic = _SWITCHES[cfg.mode]
+    seed = cfg.base_seed + i
+    try:
+        if not augment:
+            return loc.sample(state, stochastic, seed)
+        tf, curve = sample_transform(cfg.priors, seed)
+        undone = rigid_apply(tf.invert(), v, interpolation="trilinear")
+        heat = loc.sample(loc.prepare(intensity_apply_inverse(curve, undone)), stochastic, seed)
+        return rigid_apply(tf, heat, interpolation="trilinear")
+    except Exception as exc:  # noqa: BLE001 - re-raised with the index
+        raise SamplingError(i, str(exc)) from exc
 
 
 def run_mode(loc: Localizer, v: Volume3, cfg: McConfig, state=None) -> UncertaintySummary:
@@ -282,20 +286,15 @@ def run_mode(loc: Localizer, v: Volume3, cfg: McConfig, state=None) -> Uncertain
     instead of preparing ``v`` again. tta and hybrid prepare each
     augmented input and do not read it.
     """
-    augment, stochastic = _SWITCHES[cfg.mode]
-    if augment:
-        return _aggregate(
-            cfg,
-            lambda i: _augmented_sample(loc, v, cfg.base_seed + i, cfg.priors, stochastic),
-            _sample_threads(cfg.n_samples),
-        )
-    # every sample sees the same input: prepare it once
-    if state is None:
+    augment, _ = _SWITCHES[cfg.mode]
+    # every mcdo sample sees the same input: prepare it once
+    if not augment and state is None:
         try:
             state = loc.prepare(v)
         except Exception as exc:  # noqa: BLE001 - re-raised as the first sample's failure
             raise SamplingError(0, str(exc)) from exc
-    return _aggregate(cfg, lambda i: loc.sample(state, stochastic, cfg.base_seed + i))
+    threads = _sample_threads(cfg.n_samples) if augment else 1
+    return _aggregate(cfg, functools.partial(_sample, loc, v, state, cfg), threads)
 
 
 def _run_expecting(mode: str, loc: Localizer, v: Volume3, cfg: McConfig) -> UncertaintySummary:

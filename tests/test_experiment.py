@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -22,7 +23,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import voxloc
-from voxloc import experiment, uncertainty
+from voxloc import cli, experiment, uncertainty
 from voxloc.cli import main
 from voxloc.experiment import (
     EXIT_OK,
@@ -542,6 +543,53 @@ def run_module_cli(*args, cwd):
     )
 
 
+# the config file that the --config cases below read, from the working directory
+FLAG_CONFIG = {"cohort_dir": "k", "out_dir": "o", "n_samples": 5, "seed": 2}
+
+
+def _config_call(command, **fields):
+    """What generate or run receives: the config, as a dict."""
+    return command, asdict(ExperimentConfig(**fields))
+
+
+def _analyze_call(results="results/results.csv", cohort="cohort", report="results"):
+    """What analyze receives: the results file, the manifest and the report directory."""
+    return "analyze", (Path(results), Path(cohort) / "manifest.json", Path(report))
+
+
+FLAG_CASES = {
+    "generate-out": (["generate", "--out", "c"], _config_call("generate", cohort_dir="c")),
+    "generate-n": (["generate", "--n", "3"], _config_call("generate", n_cases=3)),
+    "generate-n-hard": (["generate", "--n-hard", "2"], _config_call("generate", n_hard=2)),
+    "generate-dims": (["generate", "--dims", "64, 80,96"], _config_call("generate", dims=(64, 80, 96))),
+    "generate-seed": (["generate", "--seed", "5"], _config_call("generate", seed=5)),
+    "generate-out-trailing-slash": (["generate", "--out", "x/"], _config_call("generate", cohort_dir="x")),
+    "generate-out-empty": (["generate", "--out", ""], _config_call("generate", cohort_dir=".")),
+    "run-cohort": (["run", "--cohort", "c"], _config_call("run", cohort_dir="c")),
+    "run-out": (["run", "--out", "r"], _config_call("run", out_dir="r")),
+    "run-workers": (["run", "--workers", "3"], _config_call("run", workers=3)),
+    "run-modes": (["run", "--modes", "tta, mcdo"], _config_call("run", modes=("tta", "mcdo"))),
+    "run-n-samples": (["run", "--n-samples", "7"], _config_call("run", n_samples=7)),
+    "run-seed": (["run", "--seed", "4"], _config_call("run", seed=4)),
+    "run-dirs": (["run", "--cohort", "x/", "--out", "."], _config_call("run", cohort_dir="x", out_dir=".")),
+    "run-config": (["run", "--config", "cfg.json"], _config_call("run", **FLAG_CONFIG)),
+    "run-config-override": (
+        ["run", "--config", "cfg.json", "--n-samples", "9", "--out", ""],
+        _config_call("run", **dict(FLAG_CONFIG, n_samples=9, out_dir=".")),
+    ),
+    "analyze-defaults": (["analyze"], _analyze_call()),
+    "analyze-results": (["analyze", "--results", "a.csv"], _analyze_call(results="a.csv")),
+    "analyze-cohort": (["analyze", "--cohort", "x/"], _analyze_call(cohort="x")),
+    "analyze-out": (["analyze", "--out", "rep"], _analyze_call(report="rep")),
+    "analyze-out-empty": (["analyze", "--out", ""], _analyze_call(report=".")),
+    "analyze-config": (["analyze", "--config", "cfg.json"], _analyze_call("o/results.csv", "k", "o")),
+    "analyze-config-override": (
+        ["analyze", "--config", "cfg.json", "--cohort", "c", "--seed", "1"],
+        _analyze_call("o/results.csv", "c", "o"),
+    ),
+}
+
+
 class TestCli:
     def test_no_command_is_usage_error(self):
         assert main([]) == 2
@@ -709,7 +757,9 @@ class TestCli:
         assert str(bad) in lines[0]
         assert not out.exists()
 
-    @pytest.mark.parametrize("defect", ["f16-dtype", "layout-mismatch", "manifest-list", "layers-number", "layer-not-object"])
+    @pytest.mark.parametrize(
+        "defect", ["f16-dtype", "layout-mismatch", "manifest-list", "layers-number", "layer-not-object", "fractional-dim"]
+    )
     def test_malformed_weight_file_is_one_line_io_error(self, cohort_dir, tmp_path, capsys, defect):
         weights = tmp_path / "weights.json"
         if defect == "f16-dtype":
@@ -717,6 +767,14 @@ class TestCli:
             weights.write_text(weights.read_text().replace('"f32"', '"f16"'))
         elif defect == "layout-mismatch":
             save_weights(ConvNetLocalizer.from_seed(ConvNetSpec(channels=(4, 1))), weights)
+        elif defect == "fractional-dim":
+            # 8.5 * 27 counts 229 values where 8 * 27 slices 216: pad the payload to the count
+            save_weights(ConvNetLocalizer.from_seed(ConvNetSpec()), weights)
+            manifest = json.loads(weights.read_text())
+            manifest["layers"][0]["weight"] = [8.5, 1, 3, 3, 3]
+            weights.write_text(json.dumps(manifest))
+            raw = weights.with_suffix(".raw")
+            raw.write_bytes(raw.read_bytes() + bytes(13 * 4))
         else:
             save_weights(ConvNetLocalizer.from_seed(ConvNetSpec()), weights)
             manifest = json.loads(weights.read_text())
@@ -753,6 +811,17 @@ class TestCli:
         assert rc == 0
         _, rows = read_rows(tmp_path / "cli_run" / "results.csv")
         assert {r["mode"] for r in rows} == {"baseline"}
+
+    @pytest.mark.parametrize("argv, received", list(FLAG_CASES.values()), ids=list(FLAG_CASES))
+    def test_each_flag_reaches_its_field(self, tmp_path, monkeypatch, argv, received):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cfg.json").write_text(json.dumps(FLAG_CONFIG))
+        calls = []
+        monkeypatch.setattr(cli, "cmd_generate", lambda cfg: calls.append(("generate", asdict(cfg))) or 0)
+        monkeypatch.setattr(cli, "cmd_run", lambda cfg: calls.append(("run", asdict(cfg))) or 0)
+        monkeypatch.setattr(cli, "cmd_analyze", lambda *paths: calls.append(("analyze", tuple(map(Path, paths)))) or 0)
+        assert main(argv) == 0
+        assert calls == [received]
 
     def test_console_script_roundtrip(self, tmp_path):
         # the module entry point drives all three commands end to end in a child process

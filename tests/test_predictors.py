@@ -243,8 +243,27 @@ class TestWeightFiles:
             ({"dtype": "f32", "layers": 3}, "list of objects"),
             ({"dtype": "f32", "layers": {"weight": [1], "bias": [1]}}, "list of objects"),
             ({"dtype": "f32", "layers": [[1], [1]]}, "list of objects"),
+            # the empty payload matches np.prod's count for each layout below but the last, which has no bias
+            ({"dtype": "f32", "layers": [{"weight": [0.5, 1, 1, 1, 1], "bias": [0.5]}]}, r"weight dims.*0\.5"),
+            ({"dtype": "f32", "layers": [{"weight": [False, 1, 1, 1, 1], "bias": [False]}]}, "weight dims.*False"),
+            ({"dtype": "f32", "layers": [{"weight": [0, 1, 1, 1, 1], "bias": [0]}]}, "weight dims.*0, 1"),
+            ({"dtype": "f32", "layers": [{"weight": [-1, 1, 1, 1, 1], "bias": [1]}]}, "weight dims.*-1"),
+            ({"dtype": "f32", "layers": [{"weight": [2**33, 2**32, 1, 1, 1], "bias": [2**33, 2**32]}]}, "length mismatch"),
+            ({"dtype": "f32", "layers": [{"weight": [1, 1, 1, 1, 1]}]}, "bias dims.*None"),
         ],
-        ids=["list", "null", "layers-number", "layers-object", "layer-not-object"],
+        ids=[
+            "list",
+            "null",
+            "layers-number",
+            "layers-object",
+            "layer-not-object",
+            "fractional-dim",
+            "bool-dim",
+            "zero-dim",
+            "negative-dim",
+            "count-past-2**64",
+            "no-bias",
+        ],
     )
     def test_malformed_manifest_rejected(self, tmp_path, manifest, match):
         path = tmp_path / "weights.json"
