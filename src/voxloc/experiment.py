@@ -49,7 +49,8 @@ from voxloc.predictors import (
     TruthMaskSegmenter,
 )
 from voxloc.transforms import TransformPriors
-from voxloc.uncertainty import DRAW_ALONE, MODES, BoxplotStats, McConfig, rejection_stats, run_mode
+from voxloc.uncertainty import DRAW_ALONE, MODES, McConfig, rejection_stats, run_mode
+from voxloc.volume import _finite, _three
 
 __all__ = [
     "UsageError",
@@ -271,20 +272,12 @@ def _row(case_id: int, side: str, mode: str, truth: list, pred=None, error_mm=No
     """One results.csv record, its cells as written; a row without a prediction has failed.
 
     ``case_id`` stays an int for sorting and ``runtime_ms`` rides along
-    for timings.csv. ``flagged`` is filled in by ``_apply_flags``.
+    for timings.csv. ``flagged`` is filled in by ``cmd_run`` from ``_fences``.
     """
     cells = ["failed" if pred is None else "ok", *(pred if pred is not None else (None,) * 3), *truth,
              error_mm, mad, None]
     row = dict(zip(RESULT_COLUMNS[3:], map(_fmt, cells)))
     return {"case_id": case_id, "side": side, "mode": mode, **row, "runtime_ms": runtime_ms}
-
-
-def _is_point(value) -> bool:
-    return (
-        isinstance(value, list)
-        and len(value) == 3
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) and math.isfinite(x) for x in value)
-    )
 
 
 def _manifest_entries(manifest_path: str | Path) -> list[dict]:
@@ -320,17 +313,13 @@ def _case_task(cfg: ExperimentConfig, manifest_path: Path, localizers: dict, ent
     sides: dict = {}
     try:
         image, left_mask, right_mask = load_case_volumes(manifest_path, entry)
-    except Exception as exc:  # noqa: BLE001 - any load problem fails the case
+        segmenter = TruthMaskSegmenter(left_mask, right_mask)
+        result = run_pipeline(PipelineConfig(segmenter=segmenter, localizer=localizer), image)
+    except Exception as exc:  # noqa: BLE001 - a load or pipeline failure fails the case
         case_json["error"] = str(exc)
     else:
-        segmenter = TruthMaskSegmenter(left_mask, right_mask)
-        try:
-            result = run_pipeline(PipelineConfig(segmenter=segmenter, localizer=localizer), image)
-        except Exception as exc:  # noqa: BLE001 - a pipeline failure fails the case
-            case_json["error"] = str(exc)
-        else:
-            case_json["pipeline"] = result.to_json()
-            sides = result.sides
+        case_json["pipeline"] = result.to_json()
+        sides = result.sides
 
     rows: list[dict] = []
     for side_idx, side in enumerate(SIDES):
@@ -371,37 +360,27 @@ def _case_task(cfg: ExperimentConfig, manifest_path: Path, localizers: dict, ent
     return rows, case_json
 
 
-def _fence(rows: list[dict], mode: str) -> tuple[list[dict], list[float], BoxplotStats | None]:
-    """One mode's scored rows, their dispersion scores and the Tukey fence over them.
+def _fences(rows: list[dict], modes):
+    """Yield ``(mode, scored rows, their dispersion scores, Tukey fence stats)`` per sampled mode.
 
     Rows are results.csv records: the fence reads each ``mad`` as written,
-    so analyze on that file reproduces run's flags. The fence needs at
-    least 4 scores; with fewer it is None.
+    so analyze on that file reproduces run's flags. Baseline has no score,
+    and a mode with fewer than 4 scores is logged and skipped.
     """
-    scored = [r for r in rows if r["mode"] == mode and r["status"] == "ok" and r["mad"] != ""]
-    try:
-        mads = [float(r["mad"]) for r in scored]
-    except ValueError as exc:
-        raise SchemaError(f"mode {mode} has a non-numeric mad: {exc}") from exc
-    if not all(map(math.isfinite, mads)):
-        raise SchemaError(f"mode {mode} has a non-finite mad")
-    if len(scored) < 4:
-        log.warning("mode %s has %d scored rows; need 4 to flag", mode, len(scored))
-        return scored, mads, None
-    return scored, mads, rejection_stats(mads)
-
-
-def _apply_flags(rows: list[dict], modes) -> None:
-    """Mark rows above the per-mode upper fence; needs >= 4 scores per mode."""
     for mode in modes:
         if mode == "baseline":
             continue
-        scored, _, stats = _fence(rows, mode)
-        if stats is None:
+        scored = [r for r in rows if r["mode"] == mode and r["status"] == "ok" and r["mad"] != ""]
+        try:
+            mads = [float(r["mad"]) for r in scored]
+        except ValueError as exc:
+            raise SchemaError(f"mode {mode} has a non-numeric mad: {exc}") from exc
+        if not all(map(math.isfinite, mads)):
+            raise SchemaError(f"mode {mode} has a non-finite mad")
+        if len(scored) < 4:
+            log.warning("mode %s has %d scored rows; need 4 to flag", mode, len(scored))
             continue
-        flagged = set(stats.flagged)
-        for pos, row in enumerate(scored):
-            row["flagged"] = _fmt(pos in flagged)
+        yield mode, scored, mads, rejection_stats(mads)
 
 
 def _fmt(value) -> str:
@@ -431,7 +410,7 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     entries = _manifest_entries(manifest_path)
     for entry in entries:
         truths = entry.get("truth_targets")
-        if not isinstance(truths, dict) or not all(_is_point(truths.get(side)) for side in SIDES):
+        if not isinstance(truths, dict) or not all(_three(truths.get(side), _finite) for side in SIDES):
             raise SchemaError(
                 f"manifest {manifest_path} case {entry['id']} needs 'truth_targets' with three finite numbers "
                 f"for each of {SIDES}"
@@ -448,7 +427,9 @@ def cmd_run(cfg: ExperimentConfig) -> int:
     rows = [row for case_rows, _ in outcomes for row in case_rows]
     case_jsons = [case_json for _, case_json in outcomes]
     rows.sort(key=lambda r: (r["case_id"], r["side"], MODE_ORDER.index(r["mode"])))
-    _apply_flags(rows, cfg.modes)
+    for _, scored, _, stats in _fences(rows, cfg.modes):
+        for pos, row in enumerate(scored):
+            row["flagged"] = _fmt(pos in stats.flagged)
 
     out_dir = Path(cfg.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -524,19 +505,11 @@ def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: st
         raise SchemaError(f"results file {results_path} has cases {unlisted} that manifest {manifest_path} does not list")
     hard_cases = sorted(entry["id"] for entry in entries if entry["hard"])
 
-    modes_present = list(dict.fromkeys(r["mode"] for r in records))
     long_rows: list[list] = []
     report_modes: dict[str, dict] = {}
-    hard_lookup = set(hard_cases)
-    for mode in modes_present:
-        if mode == "baseline":
-            continue
-        scored, mads, stats = _fence(records, mode)
-        if stats is None:
-            continue
-        flagged_set = set(stats.flagged)
-        flagged_cases = sorted({scored[i]["case_id"] for i in flagged_set})
-        hits = set(flagged_cases) & hard_lookup
+    for mode, scored, mads, stats in _fences(records, dict.fromkeys(r["mode"] for r in records)):
+        flagged_cases = sorted({scored[i]["case_id"] for i in stats.flagged})
+        hits = set(flagged_cases) & set(hard_cases)
         recall = len(hits) / len(hard_cases) if hard_cases else None
         precision = len(hits) / len(flagged_cases) if flagged_cases else None
         report_modes[mode] = {
@@ -547,7 +520,7 @@ def cmd_analyze(results_path: str | Path, manifest_path: str | Path, out_dir: st
             "n_scored": len(scored),
         }
         for i, r in enumerate(scored):
-            long_rows.append([r["case_id"], r["side"], mode, mads[i], i in flagged_set, r["case_id"] in hard_lookup])
+            long_rows.append([r["case_id"], r["side"], mode, mads[i], i in stats.flagged, r["case_id"] in hard_cases])
 
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)

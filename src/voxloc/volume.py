@@ -331,6 +331,14 @@ def _three(values, ok) -> bool:
     return isinstance(values, list) and len(values) == 3 and all(ok(v) for v in values)
 
 
+def _finite(x) -> bool:
+    """True for a JSON number, not a bool, that converts to a finite float."""
+    try:
+        return type(x) in (int, float) and math.isfinite(x)
+    except OverflowError:  # an int too large for a float
+        return False
+
+
 def read_volume(header_path: str | Path) -> Volume3:
     """Read a volume written by :func:`write_volume`.
 
@@ -347,7 +355,7 @@ def read_volume(header_path: str | Path) -> Volume3:
     # type(), not isinstance(): JSON true and false would pass as the ints 1 and 0
     if not _three(dims, lambda d: type(d) is int and d >= 1):
         raise ValueError(f"dims must be three integers >= 1, got {dims!r} in {header_path}")
-    if not _three(spacing, lambda s: type(s) in (int, float) and 0 < s < np.inf):
+    if not _three(spacing, lambda s: _finite(s) and s > 0):
         raise ValueError(f"spacing must be three finite numbers > 0, got {spacing!r} in {header_path}")
     if header.get("dtype") != _HEADER_DTYPE:
         raise ValueError(f"unsupported dtype {header.get('dtype')!r} in {header_path}")

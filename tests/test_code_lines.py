@@ -40,3 +40,21 @@ def test_prints_each_module_and_the_total(tmp_path, capsys):
     (tmp_path / "b.py").write_text("x = 1\n\n# done\n")
     assert code_lines.main(["code_lines.py", str(tmp_path)]) == 0
     assert capsys.readouterr().out.split("\n") == ["     8 a.py", "     1 b.py", "     9 total", ""]
+
+
+def test_against_prints_both_trees_and_the_change(tmp_path, capsys):
+    base, new = tmp_path / "base", tmp_path / "new"
+    base.mkdir()
+    new.mkdir()
+    (base / "gone.py").write_text("x = 1\ny = 2\n")
+    (new / "added.py").write_text("z = 3\n")
+    (base / "kept.py").write_text(SOURCE)
+    (new / "kept.py").write_text(SOURCE + "z = 1\n")
+    assert code_lines.main(["code_lines.py", str(new), "--against", str(base)]) == 0
+    assert capsys.readouterr().out.split("\n") == [
+        "     -      1     +1 added.py",
+        "     2      -     -2 gone.py",
+        "     8      9     +1 kept.py",
+        "    10     10     +0 total",
+        "",
+    ]

@@ -328,11 +328,21 @@ class TestRun:
         with pytest.raises(SchemaError, match="manifest"):
             cmd_run(cfg)
 
-    def test_corrupt_volume_fails_case_not_run(self, cohort_dir, tmp_path):
+    @pytest.mark.parametrize(
+        "defect, cause",
+        [("truncated-image", "payload length mismatch"), ("empty-masks", "no usable component")],
+        ids=["truncated-image", "empty-masks"],
+    )
+    def test_corrupt_volume_fails_case_not_run(self, cohort_dir, tmp_path, defect, cause):
         broken = tmp_path / "broken_cohort"
         shutil.copytree(cohort_dir, broken)
-        raw = broken / "case_001" / "image.raw"
-        raw.write_bytes(raw.read_bytes()[: raw.stat().st_size // 2])
+        if defect == "truncated-image":
+            raw = broken / "case_001" / "image.raw"
+            raw.write_bytes(raw.read_bytes()[: raw.stat().st_size // 2])
+        else:  # loads cleanly, then run_pipeline finds no foreground
+            for name in ("left_mask", "right_mask"):
+                raw = broken / "case_001" / f"{name}.raw"
+                raw.write_bytes(bytes(raw.stat().st_size))
         cfg = small_config(broken, tmp_path / "broken_out", modes=("baseline", "mcdo"))
         assert cmd_run(cfg) == EXIT_PARTIAL
         _, rows = read_rows(tmp_path / "broken_out" / "results.csv")
@@ -347,13 +357,14 @@ class TestRun:
         for r in failed:
             assert r["pred_x"] == "" and r["error_mm"] == "" and r["truth_x"] != ""
         doc = json.loads((tmp_path / "broken_out" / "cases" / "case_001.json").read_text())
-        assert "error" in doc
+        assert cause in doc["error"] and "pipeline" not in doc
 
-    def test_malformed_volume_header_fails_case_naming_header(self, cohort_dir, tmp_path, capsys):
-        broken = tmp_path / "nan_spacing_cohort"
+    @pytest.mark.parametrize("spacing", [["nan", 1, 1], [10**400, 1, 1]], ids=["nan-string", "huge-int"])
+    def test_malformed_volume_header_fails_case_naming_header(self, cohort_dir, tmp_path, capsys, spacing):
+        broken = tmp_path / "bad_spacing_cohort"
         shutil.copytree(cohort_dir, broken)
         header = broken / "case_001" / "image.json"
-        header.write_text(json.dumps({**json.loads(header.read_text()), "spacing": ["nan", 1, 1]}))
+        header.write_text(json.dumps({**json.loads(header.read_text()), "spacing": spacing}))
         out = tmp_path / "r"
         assert main(["run", "--cohort", str(broken), "--modes", "baseline", "--out", str(out)]) == EXIT_PARTIAL
         assert "Traceback" not in capsys.readouterr().err
@@ -678,10 +689,14 @@ class TestCli:
             ({"id": 0, "files": {}}, "hard"),
             ({"id": 0, "files": {}, "hard": False}, "truth_targets"),
             ({"id": 0, "files": {}, "hard": False, "truth_targets": {"left": [1, 2, 3]}}, "truth_targets"),
+            (
+                {"id": 0, "files": {}, "hard": False, "truth_targets": {"left": [10**400, 2, 3], "right": [1, 2, 3]}},
+                "truth_targets",
+            ),
             ({"files": {}, "hard": False}, "id"),
             ("case_000", "object"),
         ],
-        ids=["no-hard", "no-truth-targets", "one-side-truth", "no-id", "not-an-object"],
+        ids=["no-hard", "no-truth-targets", "one-side-truth", "huge-int-truth", "no-id", "not-an-object"],
     )
     def test_malformed_manifest_entry_is_one_line_io_error(self, tmp_path, capsys, entry, field):
         cohort = tmp_path / "badman"

@@ -2,13 +2,18 @@
 
 A code line holds at least one token that is not part of a comment or a
 docstring; blank lines do not count either. Prints one ``<lines>
-<path>`` row per file, then the total.
+<path>`` row per file, then the total. With ``--against BASE``, another
+module directory (say, the ``src/voxloc`` of a second checkout), each row
+is ``<BASE lines> <DIR lines> <change> <name>`` for every module in
+either tree, ``-`` marking a module that one tree lacks, then the totals
+in the same columns.
 
-Usage, from the repository root: python3 tools/code_lines.py [DIR]
+Usage, from the repository root: python3 tools/code_lines.py [DIR] [--against BASE]
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import sys
@@ -49,14 +54,28 @@ def code_lines(source: str) -> int:
     return len(lines)
 
 
+def module_lines(root: Path) -> dict[str, int]:
+    """Code lines of each ``*.py`` module directly in ``root``, by file name."""
+    return {path.name: code_lines(path.read_text()) for path in sorted(root.glob("*.py"))}
+
+
 def main(argv: list[str]) -> int:
-    root = Path(argv[1]) if len(argv) > 1 else DEFAULT_DIR
-    total = 0
-    for path in sorted(root.glob("*.py")):
-        n = code_lines(path.read_text())
-        total += n
-        print(f"{n:6d} {path.name}")
-    print(f"{total:6d} total")
+    parser = argparse.ArgumentParser(prog=Path(argv[0]).name)
+    parser.add_argument("dir", nargs="?", type=Path, default=DEFAULT_DIR)
+    parser.add_argument("--against", type=Path, metavar="BASE")
+    args = parser.parse_args(argv[1:])
+    counts = module_lines(args.dir)
+    if args.against is None:
+        for name, n in counts.items():
+            print(f"{n:6d} {name}")
+        print(f"{sum(counts.values()):6d} total")
+        return 0
+    base = module_lines(args.against)
+    rows = [(name, base.get(name), counts.get(name)) for name in sorted(base.keys() | counts.keys())]
+    rows.append(("total", sum(base.values()), sum(counts.values())))
+    for name, before, after in rows:
+        cells = ("-" if n is None else str(n) for n in (before, after))
+        print(*(f"{c:>6}" for c in cells), f"{(after or 0) - (before or 0):+6d}", name)
     return 0
 
 
