@@ -9,7 +9,8 @@ Conventions used throughout the package:
   ``(i * spacing[0], j * spacing[1], k * spacing[2])`` millimetres.
 * The linear (file) order is x-fastest: element ``(i, j, k)`` sits at
   linear index ``i + dims[0] * (j + dims[1] * k)``, i.e. Fortran order
-  of the ``(i, j, k)`` array.
+  of the ``(i, j, k)`` array. A volume read from a file keeps that
+  order: its ``data`` is Fortran-ordered, the payload read in place.
 * Out-of-bounds reads clamp to the nearest edge voxel during
   resampling; cropping instead pads with 0.0.
 """
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -63,7 +65,8 @@ class Volume3:
     """An immutable scalar volume with voxel spacing in mm.
 
     Attributes:
-        data: 3-D float array, shape equal to ``dims``, read-only.
+        data: 3-D float array, shape equal to ``dims``, read-only. It is
+            Fortran-ordered for a volume from :func:`read_volume`.
         spacing: per-axis voxel spacing in mm, all entries finite and > 0.
         dims: the grid shape.
         block: the held values, a read-only float array shaped like
@@ -192,14 +195,22 @@ def downsample_to(v: Volume3, dims, interpolation: str = "trilinear") -> Volume3
         raise ValueError(f"unknown interpolation {interpolation!r}")
     # Axis-separable resampling: the grid mapping is axis-aligned, so one
     # 1-D interpolation pass per axis reproduces full trilinear sampling.
+    # np.take copies an input that is not C-contiguous into C order first,
+    # so a Fortran-ordered grid is resampled through its C-contiguous
+    # transpose, where axis a sits at position 2 - a. The passes still run
+    # over axes 0, 1, 2 in that order, which the trilinear bits depend on.
     out = v.data
+    flip = out.flags.f_contiguous and not out.flags.c_contiguous
+    out = out.T if flip else out
     for axis in range(3):
+        at = 2 - axis if flip else axis
         if interpolation == "trilinear":
-            out = _interp_axis_linear(out, _positions(v.dims[axis], dims[axis]), axis)
+            out = _interp_axis_linear(out, _positions(v.dims[axis], dims[axis]), at)
         else:
-            out = np.take(out, _nearest_index(v.dims[axis], dims[axis]), axis=axis)
+            out = np.take(out, _nearest_index(v.dims[axis], dims[axis]), axis=at)
     spacing = tuple(v.dims[a] * v.spacing[a] / dims[a] for a in range(3))
-    return Volume3(out.astype(v.data.dtype, copy=False), spacing)
+    out = out.T if flip else out
+    return Volume3(out.astype(v.data.dtype, order="C", copy=False), spacing)
 
 
 # ---------------------------------------------------------------------------
@@ -342,10 +353,14 @@ def _finite(x) -> bool:
 def read_volume(header_path: str | Path) -> Volume3:
     """Read a volume written by :func:`write_volume`.
 
+    The payload is read straight into the returned volume's ``data``,
+    which is therefore Fortran-ordered (x-fastest, as in the file).
+
     Raises ValueError, naming the file, on a header that is not an object,
     dims that are not three JSON integers >= 1, spacing that is not three
     finite JSON numbers > 0, unknown header field values, or a payload
-    length that does not match the header dims.
+    length that does not match the header dims (checked before anything
+    is allocated, and again on the bytes actually read).
     """
     header_path = Path(header_path)
     header = json.loads(header_path.read_text())
@@ -363,14 +378,13 @@ def read_volume(header_path: str | Path) -> Volume3:
         raise ValueError(f"unsupported linear order {header.get('order')!r} in {header_path}")
     if header.get("axis0") != AXIS0_CONVENTION:
         raise ValueError(f"unsupported axis-0 tag {header.get('axis0')!r} in {header_path}")
-    raw = _payload_path(header_path).read_bytes()
     expected = math.prod(dims) * 4  # Python ints: header dims cannot wrap the count as int64 would
-    if len(raw) != expected:
-        raise ValueError(
-            f"payload length mismatch for {header_path}: expected {expected} bytes, got {len(raw)}"
-        )
-    src = np.frombuffer(raw, dtype="<f4").reshape(dims[::-1])
-    data = np.empty(dims, dtype="<f4")
-    for j in range(dims[1]):  # one 2-D transpose per j, as in write_volume
-        data[:, j, :] = src[:, j, :].T
+    with open(_payload_path(header_path), "rb") as f:
+        got = os.fstat(f.fileno()).st_size
+        if got == expected:
+            # x-fastest is the Fortran order of (i, j, k): fill it through its C-contiguous transpose
+            data = np.empty(dims, dtype="<f4", order="F")
+            got = f.readinto(data.T)
+    if got != expected:  # also a short read, so no unfilled np.empty memory reaches a volume
+        raise ValueError(f"payload length mismatch for {header_path}: expected {expected} bytes, got {got}")
     return Volume3(data, spacing)

@@ -25,7 +25,7 @@ from voxloc.predictors import (
     save_weights,
 )
 from voxloc.transforms import RigidTransform, rigid_apply
-from voxloc.volume import Volume3, flip_lr
+from voxloc.volume import Volume3, flip_lr, read_volume, write_volume
 
 
 def blank(dims=(32, 32, 32), spacing=(1.0, 1.0, 1.0)):
@@ -502,6 +502,26 @@ class TestTruthMaskSegmenter:
         sp2 = (0.5, 0.5, 0.5)
         seg = TruthMaskSegmenter(Volume3(left96.astype(float), sp2), Volume3(right96.astype(float), sp2))
         l, r = seg.predict(blank(self.dims), self.dims)
+        np.testing.assert_array_equal(l, left96[::2, ::2, ::2])
+        np.testing.assert_array_equal(r, right96[::2, ::2, ::2])
+
+    def test_resamples_read_masks_through_c_contiguous_takes(self, tmp_path, monkeypatch):
+        # read_volume gives Fortran-ordered grids; np.take would copy each one into C order first
+        left96, right96 = self.make_masks((96, 96, 96))
+        for name, mask in (("left", left96), ("right", right96)):
+            write_volume(Volume3(mask.astype(np.float32), (0.5, 0.5, 0.5)), tmp_path / f"{name}.json")
+        masks = [read_volume(tmp_path / f"{name}.json") for name in ("left", "right")]
+        assert not any(m.data.flags.c_contiguous for m in masks)
+        taken = []
+        take = np.take
+
+        def spy(a, *args, **kwargs):
+            taken.append(a.flags.c_contiguous)
+            return take(a, *args, **kwargs)
+
+        monkeypatch.setattr(np, "take", spy)
+        l, r = TruthMaskSegmenter(*masks).predict(blank(self.dims), self.dims)
+        assert taken == [True] * 6  # three nearest passes per mask
         np.testing.assert_array_equal(l, left96[::2, ::2, ::2])
         np.testing.assert_array_equal(r, right96[::2, ::2, ::2])
 

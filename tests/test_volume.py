@@ -3,16 +3,20 @@
 from __future__ import annotations
 
 import json
+import re
 import sys
 import tempfile
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from voxloc import volume as volume_module
 from voxloc.heatmap import argmax_position
 from voxloc.transforms import TransformPriors, rigid_apply, sample_transform
 from voxloc.uncertainty import mean_variance
@@ -222,22 +226,27 @@ class TestDownsampleBytes:
         shape=st.tuples(*[st.integers(1, 12)] * 3),
         dims=st.tuples(*[st.integers(1, 20)] * 3),
         seed=st.integers(0, 2**32 - 1),
+        order=st.sampled_from("CF"),
     )
-    def test_matches_float64_first_reference(self, dtype, interpolation, shape, dims, seed):
+    def test_matches_float64_first_reference(self, dtype, interpolation, shape, dims, seed, order):
         rng = np.random.default_rng(seed)
-        v = Volume3((rng.normal(size=shape) * 100.0).astype(dtype), (1.0, 0.5, 2.0))
+        v = Volume3(np.array(rng.normal(size=shape) * 100.0, dtype=dtype, order=order), (1.0, 0.5, 2.0))
+        assert v.data.flags[f"{order}_CONTIGUOUS"]
         out = downsample_to(v, dims, interpolation=interpolation)
-        assert out.data.dtype == dtype
+        assert out.data.dtype == dtype and out.data.flags.c_contiguous
         assert out.data.tobytes() == float64_first_downsample(v, dims, interpolation).tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("interpolation", ["trilinear", "nearest"])
     @pytest.mark.parametrize("dims", [(80, 80, 80), (160, 96, 128)], ids=["down", "up"])
     def test_stage1_sized_grids(self, dtype, interpolation, dims):
-        v = Volume3(smooth_volume((128, 128, 128)).data.astype(dtype), (1.0, 1.0, 1.0))
-        out = downsample_to(v, dims, interpolation=interpolation)
-        assert out.data.dtype == dtype
-        assert out.data.tobytes() == float64_first_downsample(v, dims, interpolation).tobytes()
+        grid = smooth_volume((128, 128, 128)).data
+        reference = float64_first_downsample(Volume3(grid.astype(dtype), (1.0, 1.0, 1.0)), dims, interpolation)
+        for order in "CF":  # F is how read_volume returns a grid
+            v = Volume3(grid.astype(dtype, order=order), (1.0, 1.0, 1.0))
+            out = downsample_to(v, dims, interpolation=interpolation)
+            assert out.data.dtype == dtype and out.data.flags.c_contiguous
+            assert out.data.tobytes() == reference.tobytes()
 
 
 class TestCropBox:
@@ -569,7 +578,7 @@ class TestVolumeFiles:
             back = read_volume(path)
         assert raw == data.astype("<f4").ravel(order="F").tobytes()
         expected = np.frombuffer(raw, dtype="<f4").reshape(shape, order="F")
-        assert back.data.flags.c_contiguous
+        assert back.data.flags.f_contiguous and back.data.flags.owndata
         assert back.data.tobytes() == np.ascontiguousarray(expected).tobytes()
 
     def test_rejects_payload_length_mismatch(self, tmp_path):
@@ -577,9 +586,35 @@ class TestVolumeFiles:
         path = tmp_path / "vol.json"
         write_volume(v, path)
         payload = tmp_path / "vol.raw"
+        full = payload.read_bytes()
+        for wrong in (full[:-4], full[:-1], full + b"\0"):
+            payload.write_bytes(wrong)
+            message = f"length mismatch for {re.escape(str(path))}: expected 256 bytes, got {len(wrong)}$"
+            with pytest.raises(ValueError, match=message):
+                read_volume(path)
+
+    def test_rejects_short_read_of_a_payload_whose_size_matched(self, tmp_path, monkeypatch):
+        # the file shrinks between the size check and the read: no unfilled memory may become a volume
+        path = tmp_path / "vol.json"
+        write_volume(Volume3(np.ones((4, 4, 4), dtype=np.float32), (1, 1, 1)), path)
+        payload = tmp_path / "vol.raw"
         payload.write_bytes(payload.read_bytes()[:-4])
-        with pytest.raises(ValueError, match="length mismatch"):
+        monkeypatch.setattr(volume_module, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=256)))
+        with pytest.raises(ValueError, match="length mismatch") as info:
             read_volume(path)
+        assert str(path) in str(info.value) and "got 252" in str(info.value)
+
+    def test_read_peaks_at_one_payload(self, tmp_path):
+        # the payload goes straight into the volume's array: no bytes buffer, no transposing copy
+        path = tmp_path / "vol.json"
+        write_volume(Volume3(np.ones((64, 64, 64), dtype=np.float32), (1, 1, 1)), path)
+        tracemalloc.start()
+        try:
+            read_volume(path)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 64**3 * 4
 
     def test_rejects_unknown_header_fields(self, tmp_path):
         v = Volume3(np.zeros((2, 2, 2), dtype=np.float32), (1, 1, 1))

@@ -7,9 +7,10 @@ directory, with PARENT's code. Each pair then runs both sides,
 alternating which side goes first. A side is a fresh process with that
 checkout's ``src`` first on ``sys.path`` and OMP, OpenBLAS and MKL held
 to one thread. It calls ``cmd_<command>`` ``--reps`` times and reports
-the median seconds of those calls, its peak RSS and the sha256 of the
-command's output: ``results.csv`` for ``run``, every cohort file (by
-relative path, then bytes) for ``generate``.
+the median seconds of those calls, its peak RSS, the sha256 of the
+command's output (``results.csv`` for ``run``, every cohort file, by
+relative path, then bytes, for ``generate``) and the median count of
+minor page faults per call (``ru_minflt`` deltas).
 
 Prints one line per pair, then each side's median and quartiles over
 the pairs and how many pairs the change won. Exits 1 if any two runs
@@ -50,11 +51,12 @@ if not Path(experiment.__file__).resolve().is_relative_to(src):
     sys.exit(f"imported {experiment.__file__}, not the checkout under {src}")
 cfg = experiment.ExperimentConfig(**spec["config"])
 command = getattr(experiment, "cmd_" + spec["command"])
-seconds = []
+seconds, minflt = [], []
 for _ in range(spec["reps"]):
-    t0 = time.perf_counter()
+    f0, t0 = resource.getrusage(resource.RUSAGE_SELF).ru_minflt, time.perf_counter()
     rc = command(cfg)
     seconds.append(time.perf_counter() - t0)
+    minflt.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - f0)
     if rc not in (0, 3):  # 3: the run finished with failed rows
         sys.exit(f"cmd_{spec['command']} exited {rc}")
 output = Path(cfg.out_dir, "results.csv") if spec["command"] == "run" else Path(cfg.cohort_dir)
@@ -66,6 +68,7 @@ print(json.dumps({
     "seconds": statistics.median(seconds),
     "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
     "sha256": digest.hexdigest(),
+    "minflt": statistics.median(minflt),
 }))
 """
 
@@ -122,7 +125,7 @@ def main(argv=None) -> int:
             print(
                 f"pair {pair + 1} ({order[0]} first): "
                 + ", ".join(
-                    f"{name} {r['seconds']:.3f} s {r['peak_rss_mib']:.1f} MiB {r['sha256'][:8]}"
+                    f"{name} {r['seconds']:.3f} s {r['peak_rss_mib']:.1f} MiB {r['sha256'][:8]} {r['minflt']:.0f} minflt"
                     for name, r in (("parent", parent), ("change", change))
                 )
             )
