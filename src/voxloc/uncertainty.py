@@ -58,7 +58,6 @@ from __future__ import annotations
 import contextvars
 import functools
 import operator
-import os
 from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -68,7 +67,7 @@ import numpy as np
 from voxloc.heatmap import TargetPoint, argmax_position
 from voxloc.predictors import Localizer
 from voxloc.transforms import TransformPriors, intensity_apply_inverse, rigid_apply, sample_transform
-from voxloc.volume import Volume3, _from_block
+from voxloc.volume import Volume3, _from_block, usable_cores
 
 __all__ = [
     "SamplingError",
@@ -210,11 +209,7 @@ def _sample_threads(n_samples: int) -> int:
     """
     if DRAW_ALONE.get():
         return 1
-    try:
-        cpus = len(os.sched_getaffinity(0))
-    except AttributeError:  # pragma: no cover - platforms without affinity masks
-        cpus = os.cpu_count() or 1
-    return min(n_samples, cpus)
+    return min(n_samples, usable_cores())
 
 
 def _aggregate(cfg: McConfig, sample_fn: Callable[[int], Volume3], threads: int = 1) -> UncertaintySummary:

@@ -11,6 +11,8 @@ Conventions used throughout the package:
   linear index ``i + dims[0] * (j + dims[1] * k)``, i.e. Fortran order
   of the ``(i, j, k)`` array. A volume read from a file keeps that
   order: its ``data`` is Fortran-ordered, the payload read in place.
+  Generated masks are x-fastest too, and writing an x-fastest float32
+  grid makes no copy: the file takes the array's own buffer.
 * Out-of-bounds reads clamp to the nearest edge voxel during
   resampling; cropping instead pads with 0.0.
 """
@@ -39,6 +41,14 @@ __all__ = [
 
 #: Axis-0 orientation tag stored in volume headers.
 AXIS0_CONVENTION = "LR"
+
+
+def usable_cores() -> int:
+    """Cores this process may run on: its affinity mask, else the machine's count."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # pragma: no cover - platforms without affinity masks
+        return os.cpu_count() or 1
 
 
 class _Grid:
@@ -222,7 +232,8 @@ def rescale_intensity(v: Volume3) -> Volume3:
     """Affine rescale of the value range to [0, 1].
 
     A constant volume maps to all zeros (the degenerate range is treated
-    as empty contrast rather than an error).
+    as empty contrast rather than an error). One float64 grid is made:
+    the shifted values, then divided in place.
     """
     data = v.data.astype(np.float64, copy=False)
     vmin = float(data.min())
@@ -230,7 +241,8 @@ def rescale_intensity(v: Volume3) -> Volume3:
     if vmax == vmin:
         out = np.zeros_like(data)
     else:
-        out = (data - vmin) / (vmax - vmin)
+        out = data - vmin
+        out /= vmax - vmin
     return Volume3(out.astype(v.data.dtype, copy=False), v.spacing)
 
 
@@ -318,7 +330,10 @@ def write_volume(v: Volume3, header_path: str | Path) -> None:
 
     The header ``<name>.json`` records dims, spacing, dtype, linear order
     and the axis-0 orientation tag; the payload ``<name>.raw`` holds the
-    voxel values as little-endian float32 in x-fastest order.
+    voxel values as little-endian float32 in x-fastest order. An
+    x-fastest (Fortran-ordered) ``<f4`` grid, such as a generated mask or
+    a volume read from a file, is written from its own buffer with no
+    copy; any other grid is transposed into one payload-sized buffer.
     """
     header_path = Path(header_path)
     header = {
@@ -329,12 +344,15 @@ def write_volume(v: Volume3, header_path: str | Path) -> None:
         "axis0": AXIS0_CONVENTION,
     }
     header_path.write_text(json.dumps(header, sort_keys=True, indent=2) + "\n")
-    # x-fastest is the (k, j, i) C-order array; one 2-D transpose per j
-    # beats numpy's 3-D transposing copy
-    payload = np.empty(v.dims[::-1], dtype="<f4")
-    for j in range(v.dims[1]):
-        payload[:, j, :] = v.data[:, j, :].T
-    _payload_path(header_path).write_bytes(payload.tobytes())
+    # x-fastest is the (k, j, i) C-order array, i.e. the C order of data.T
+    payload = v.data.T
+    if not payload.flags.c_contiguous or payload.dtype != "<f4":
+        # one 2-D transpose per j beats numpy's 3-D transposing copy
+        payload = np.empty(v.dims[::-1], dtype="<f4")
+        for j in range(v.dims[1]):
+            payload[:, j, :] = v.data[:, j, :].T
+    with open(_payload_path(header_path), "wb") as f:
+        f.write(payload)
 
 
 def _three(values, ok) -> bool:

@@ -1,10 +1,13 @@
 """Tests for phantom generation and cohorts."""
 
 import json
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from voxloc import phantom as phantom_module
 from voxloc.heatmap import HeatmapSpec, TargetPoint, gaussian_heatmap
 from voxloc.phantom import (
     BACKGROUND_INTENSITY,
@@ -17,6 +20,7 @@ from voxloc.phantom import (
     InfeasibleSpecError,
     PhantomSpec,
     cohort_case_spec,
+    derive_seed,
     generate_phantom,
     hard_case_ids,
     iter_cohort,
@@ -276,3 +280,43 @@ class TestCohortFiles:
         assert set(targets) == {"left", "right"}
         assert len(targets["left"]) == 3
         assert targets["left"][0] < targets["right"][0]
+
+
+def cohort_files(root):
+    """Every file under ``root`` by relative path, with its bytes."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestCohortThreads:
+    SPEC = PhantomSpec(dims=(64, 64, 64))
+
+    def test_files_identical_on_one_and_three_threads(self, tmp_path, monkeypatch):
+        written = {}
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # more threads than cores, switching as often as the interpreter can
+        try:
+            for threads in (1, 3):
+                monkeypatch.setattr(phantom_module, "usable_cores", lambda: threads)
+                write_cohort(tmp_path / str(threads), 3, n_hard=1, seed=5, base_spec=self.SPEC)
+                written[threads] = cohort_files(tmp_path / str(threads))
+        finally:
+            sys.setswitchinterval(interval)
+        assert len(written[1]) == 1 + 3 * 3 * 2  # the manifest, then a header and payload per volume
+        assert "manifest.json" in written[1]
+        assert written[1] == written[3]
+
+    def test_failing_case_raises_and_leaves_no_manifest_or_thread(self, tmp_path, monkeypatch):
+        real, bad_seed = generate_phantom, derive_seed(5, 1)
+
+        def fail_case_1(spec):
+            if spec.seed == bad_seed:
+                raise InfeasibleSpecError("case 1 cannot be built")
+            return real(spec)
+
+        monkeypatch.setattr(phantom_module, "generate_phantom", fail_case_1)
+        monkeypatch.setattr(phantom_module, "usable_cores", lambda: 3)
+        before = set(threading.enumerate())
+        with pytest.raises(InfeasibleSpecError, match="case 1 cannot be built"):
+            write_cohort(tmp_path / "cohort", 3, seed=5, base_spec=self.SPEC)
+        assert not (tmp_path / "cohort" / "manifest.json").exists()
+        assert set(threading.enumerate()) == before

@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from voxloc import volume as volume_module
 from voxloc.heatmap import argmax_position
+from voxloc.phantom import PhantomSpec, generate_phantom
 from voxloc.transforms import TransformPriors, rigid_apply, sample_transform
 from voxloc.uncertainty import mean_variance
 from voxloc.volume import (
@@ -568,9 +569,11 @@ class TestVolumeFiles:
         shape=st.tuples(*[st.integers(1, 9)] * 3),
         dtype=st.sampled_from([np.float32, np.float64, ">f8"]),
         seed=st.integers(0, 2**16),
+        order=st.sampled_from("CF"),
     )
-    def test_slab_transposes_match_fortran_order(self, shape, dtype, seed):
-        data = np.random.default_rng(seed).normal(size=shape).astype(dtype)
+    def test_slab_transposes_match_fortran_order(self, shape, dtype, seed, order):
+        # an F-ordered float32 grid is written from its own buffer, any other through the slab transposes
+        data = np.random.default_rng(seed).normal(size=shape).astype(dtype, order=order)
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "vol.json"
             write_volume(Volume3(data, (1, 1, 1)), path)
@@ -580,6 +583,32 @@ class TestVolumeFiles:
         expected = np.frombuffer(raw, dtype="<f4").reshape(shape, order="F")
         assert back.data.flags.f_contiguous and back.data.flags.owndata
         assert back.data.tobytes() == np.ascontiguousarray(expected).tobytes()
+
+    def test_rewriting_a_read_volume_reproduces_its_payload(self, tmp_path):
+        rng = np.random.default_rng(13)
+        write_volume(Volume3(rng.normal(size=(7, 5, 6)).astype(np.float32), (1.0, 2.0, 3.0)), tmp_path / "a.json")
+        write_volume(read_volume(tmp_path / "a.json"), tmp_path / "b.json")
+        assert (tmp_path / "b.raw").read_bytes() == (tmp_path / "a.raw").read_bytes()
+        assert (tmp_path / "b.json").read_bytes() == (tmp_path / "a.json").read_bytes()
+
+    def test_generated_masks_are_x_fastest(self):
+        case = generate_phantom(PhantomSpec(dims=(64, 64, 64)))
+        for mask in (case.left_mask, case.right_mask):
+            assert mask.data.flags.f_contiguous and not mask.data.flags.c_contiguous
+            assert mask.data.dtype == np.float32
+
+    @pytest.mark.parametrize("order, bound", [("F", 0.1), ("C", 1.1)])
+    def test_write_allocates_at_most_one_payload(self, tmp_path, order, bound):
+        # an x-fastest float32 grid is written from its own buffer; a C-ordered one fills one payload buffer
+        v = Volume3(np.ones((64, 64, 64), dtype=np.float32, order=order), (1, 1, 1))
+        write_volume(v, tmp_path / "warm.json")
+        tracemalloc.start()
+        try:
+            write_volume(v, tmp_path / "vol.json")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < bound * 64**3 * 4
 
     def test_rejects_payload_length_mismatch(self, tmp_path):
         v = Volume3(np.zeros((4, 4, 4), dtype=np.float32), (1, 1, 1))
