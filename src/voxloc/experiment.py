@@ -37,7 +37,7 @@ from pathlib import Path
 import numpy as np
 
 from voxloc.heatmap import HeatmapSpec
-from voxloc.phantom import PhantomSpec, derive_seed, load_case_volumes, write_cohort
+from voxloc.phantom import PhantomSpec, derive_seed, write_cohort
 from voxloc.pipeline import SIDES, PipelineConfig, run_pipeline
 from voxloc.predictors import (
     ConvNetLocalizer,
@@ -50,7 +50,7 @@ from voxloc.predictors import (
 )
 from voxloc.transforms import TransformPriors
 from voxloc.uncertainty import DRAW_ALONE, MODES, McConfig, rejection_stats, run_mode
-from voxloc.volume import _finite, _three
+from voxloc.volume import _finite, _three, read_volume
 
 __all__ = [
     "UsageError",
@@ -312,8 +312,10 @@ def _case_task(cfg: ExperimentConfig, manifest_path: Path, localizers: dict, ent
 
     sides: dict = {}
     try:
-        image, left_mask, right_mask = load_case_volumes(manifest_path, entry)
-        segmenter = TruthMaskSegmenter(left_mask, right_mask)
+        root, files = manifest_path.parent, entry["files"]
+        image = read_volume(root / files["image"])
+        # the segmenter reads each mask file plane by plane, never whole
+        segmenter = TruthMaskSegmenter(root / files["left_mask"], root / files["right_mask"])
         result = run_pipeline(PipelineConfig(segmenter=segmenter, localizer=localizer), image)
     except Exception as exc:  # noqa: BLE001 - a load or pipeline failure fails the case
         case_json["error"] = str(exc)

@@ -27,7 +27,7 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from voxloc.heatmap import HeatmapSpec, TargetPoint, gaussian_heatmap
-from voxloc.volume import Volume3, read_volume, rescale_intensity, usable_cores, write_volume
+from voxloc.volume import Volume3, rescale_intensity, usable_cores, write_volume
 
 __all__ = [
     "InfeasibleSpecError",
@@ -335,13 +335,3 @@ def write_cohort(
     (out_dir / "manifest.json").write_text(json.dumps(manifest, sort_keys=True, indent=2) + "\n")
     return manifest
 
-
-def load_case_volumes(manifest_path: str | Path, entry: dict) -> tuple[Volume3, Volume3, Volume3]:
-    """Read (image, left mask, right mask) for one manifest entry."""
-    root = Path(manifest_path).parent
-    files = entry["files"]
-    return (
-        read_volume(root / files["image"]),
-        read_volume(root / files["left_mask"]),
-        read_volume(root / files["right_mask"]),
-    )

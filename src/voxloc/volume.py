@@ -22,8 +22,10 @@ from __future__ import annotations
 import json
 import math
 import os
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
+from typing import BinaryIO, Callable, Iterator
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "support_box",
     "write_volume",
     "read_volume",
+    "open_planes",
 ]
 
 #: Axis-0 orientation tag stored in volume headers.
@@ -194,9 +197,8 @@ def downsample_to(v: Volume3, dims, interpolation: str = "trilinear") -> Volume3
     output voxel ``q`` samples the input at fractional index
     ``q * dims_in / dims_out``, so coarse-grid coordinates map back to the
     input grid by pure scaling. Works in both directions. Trilinear
-    sampling computes in float64; nearest sampling copies input values
-    (the segmenter uses it to bring masks onto the coarse grid). The
-    output keeps the input's dtype.
+    sampling computes in float64; nearest sampling copies input values.
+    The output keeps the input's dtype.
     """
     dims = tuple(int(d) for d in dims)
     if len(dims) != 3 or any(d < 1 for d in dims):
@@ -264,7 +266,12 @@ def crop_box(v: Volume3, box: VoxelBox) -> Volume3:
             return Volume3(out, v.spacing)
         src.append(slice(s0, s1))
         dst.append(slice(s0 - low[a], s1 - low[a]))
-    out[tuple(dst)] = v.data[tuple(src)]
+    block = v.data[tuple(src)]
+    if v.data.flags.f_contiguous:
+        # a read scan: gather the strided block in its own order first, so
+        # the C-ordered write below transposes a compact block
+        block = np.asfortranarray(block)
+    out[tuple(dst)] = block
     return Volume3(out, v.spacing)
 
 
@@ -368,19 +375,8 @@ def _finite(x) -> bool:
         return False
 
 
-def read_volume(header_path: str | Path) -> Volume3:
-    """Read a volume written by :func:`write_volume`.
-
-    The payload is read straight into the returned volume's ``data``,
-    which is therefore Fortran-ordered (x-fastest, as in the file).
-
-    Raises ValueError, naming the file, on a header that is not an object,
-    dims that are not three JSON integers >= 1, spacing that is not three
-    finite JSON numbers > 0, unknown header field values, or a payload
-    length that does not match the header dims (checked before anything
-    is allocated, and again on the bytes actually read).
-    """
-    header_path = Path(header_path)
+def _read_header(header_path: Path) -> tuple[list[int], list]:
+    """Checked ``(dims, spacing)`` of a volume header; ValueError naming the file otherwise."""
     header = json.loads(header_path.read_text())
     if not isinstance(header, dict):
         raise ValueError(f"volume header {header_path} is not a JSON object")
@@ -396,13 +392,68 @@ def read_volume(header_path: str | Path) -> Volume3:
         raise ValueError(f"unsupported linear order {header.get('order')!r} in {header_path}")
     if header.get("axis0") != AXIS0_CONVENTION:
         raise ValueError(f"unsupported axis-0 tag {header.get('axis0')!r} in {header_path}")
+    return dims, spacing
+
+
+def _length_mismatch(header_path: Path, expected: int, got: int) -> ValueError:
+    return ValueError(f"payload length mismatch for {header_path}: expected {expected} bytes, got {got}")
+
+
+def _open_payload(header_path: Path, dims) -> BinaryIO:
+    """The payload file, opened once its size matches the header dims."""
     expected = math.prod(dims) * 4  # Python ints: header dims cannot wrap the count as int64 would
-    with open(_payload_path(header_path), "rb") as f:
-        got = os.fstat(f.fileno()).st_size
-        if got == expected:
-            # x-fastest is the Fortran order of (i, j, k): fill it through its C-contiguous transpose
-            data = np.empty(dims, dtype="<f4", order="F")
-            got = f.readinto(data.T)
-    if got != expected:  # also a short read, so no unfilled np.empty memory reaches a volume
-        raise ValueError(f"payload length mismatch for {header_path}: expected {expected} bytes, got {got}")
+    f = open(_payload_path(header_path), "rb")
+    got = os.fstat(f.fileno()).st_size
+    if got != expected:
+        f.close()
+        raise _length_mismatch(header_path, expected, got)
+    return f
+
+
+def read_volume(header_path: str | Path) -> Volume3:
+    """Read a volume written by :func:`write_volume`.
+
+    The payload is read straight into the returned volume's ``data``,
+    which is therefore Fortran-ordered (x-fastest, as in the file).
+
+    Raises ValueError, naming the file, on a header that is not an object,
+    dims that are not three JSON integers >= 1, spacing that is not three
+    finite JSON numbers > 0, unknown header field values, or a payload
+    length that does not match the header dims (checked before anything
+    is allocated, and again on the bytes actually read).
+    """
+    header_path = Path(header_path)
+    dims, spacing = _read_header(header_path)
+    with _open_payload(header_path, dims) as f:
+        # x-fastest is the Fortran order of (i, j, k): fill it through its C-contiguous transpose
+        data = np.empty(dims, dtype="<f4", order="F")
+        got = f.readinto(data.T)
+    if got != data.nbytes:  # a short read: no unfilled np.empty memory reaches a volume
+        raise _length_mismatch(header_path, data.nbytes, got)
     return Volume3(data, spacing)
+
+
+@contextmanager
+def open_planes(header_path: str | Path) -> Iterator[tuple[tuple[int, int, int], Callable[[int], np.ndarray]]]:
+    """Open a volume file to read its axis-2 planes one at a time.
+
+    Yields ``(dims, plane)``. ``plane(k)`` reads ``data[:, :, k]`` into
+    one reused ``(dims[0], dims[1])`` float32 buffer and returns it, so
+    each plane must be used before the next is read. The header and the
+    payload size get the checks of :func:`read_volume`, with the same
+    ValueErrors; a plane read that comes back short raises its
+    ``payload length mismatch``, counting the bytes found up to there.
+    """
+    header_path = Path(header_path)
+    dims, _ = _read_header(header_path)
+    with _open_payload(header_path, dims) as f:
+        buf = np.empty(dims[:2], dtype="<f4", order="F")
+
+        def plane(k: int) -> np.ndarray:
+            f.seek(k * buf.nbytes)
+            got = f.readinto(buf.T)
+            if got != buf.nbytes:
+                raise _length_mismatch(header_path, math.prod(dims) * 4, k * buf.nbytes + got)
+            return buf
+
+        yield tuple(dims), plane

@@ -14,6 +14,7 @@ import subprocess
 import sys
 import tempfile
 import threading
+import tracemalloc
 from dataclasses import asdict
 from pathlib import Path
 from types import SimpleNamespace
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 import voxloc
 from voxloc import cli, experiment, uncertainty
+from voxloc import volume as volume_module
 from voxloc.cli import main
 from voxloc.experiment import (
     EXIT_OK,
@@ -323,6 +325,20 @@ class TestRun:
         assert cmd_run(cfg) == EXIT_OK
         assert len(prepared) == N_CASES * 2
 
+    def test_only_the_image_payload_is_read_whole(self, cohort_dir, tmp_path, monkeypatch):
+        # the masks go plane by plane to the coarse grid: no case reads a mask file whole
+        read, original = [], volume_module.read_volume
+
+        def spy(path):
+            read.append(Path(path).relative_to(cohort_dir).as_posix())
+            return original(path)
+
+        for module in [m for name, m in sys.modules.items() if name.startswith("voxloc")]:
+            if vars(module).get("read_volume") is original:
+                monkeypatch.setattr(module, "read_volume", spy)
+        assert cmd_run(small_config(cohort_dir, tmp_path / "spy", modes=("baseline",))) == EXIT_OK
+        assert sorted(read) == [f"case_{i:03d}/image.json" for i in range(N_CASES)]
+
     def test_missing_manifest_is_schema_error(self, tmp_path):
         cfg = small_config(tmp_path / "nowhere", tmp_path / "r")
         with pytest.raises(SchemaError, match="manifest"):
@@ -330,15 +346,22 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "defect, cause",
-        [("truncated-image", "payload length mismatch"), ("empty-masks", "no usable component")],
-        ids=["truncated-image", "empty-masks"],
+        [
+            ("truncated-image", "payload length mismatch"),
+            ("empty-masks", "no usable component"),
+            ("truncated-mask", "payload length mismatch"),
+        ],
+        ids=["truncated-image", "empty-masks", "truncated-mask"],
     )
     def test_corrupt_volume_fails_case_not_run(self, cohort_dir, tmp_path, defect, cause):
         broken = tmp_path / "broken_cohort"
         shutil.copytree(cohort_dir, broken)
-        if defect == "truncated-image":
-            raw = broken / "case_001" / "image.raw"
-            raw.write_bytes(raw.read_bytes()[: raw.stat().st_size // 2])
+        if defect.startswith("truncated"):
+            raw = broken / "case_001" / ("image.raw" if defect == "truncated-image" else "left_mask.raw")
+            size = raw.stat().st_size
+            raw.write_bytes(raw.read_bytes()[: size // 2])
+            # the text read_volume gives, naming the header, whether the file is read whole or by planes
+            cause = f"payload length mismatch for {raw.with_suffix('.json')}: expected {size} bytes, got {size // 2}"
         else:  # loads cleanly, then run_pipeline finds no foreground
             for name in ("left_mask", "right_mask"):
                 raw = broken / "case_001" / f"{name}.raw"
@@ -359,17 +382,42 @@ class TestRun:
         doc = json.loads((tmp_path / "broken_out" / "cases" / "case_001.json").read_text())
         assert cause in doc["error"] and "pipeline" not in doc
 
-    @pytest.mark.parametrize("spacing", [["nan", 1, 1], [10**400, 1, 1]], ids=["nan-string", "huge-int"])
-    def test_malformed_volume_header_fails_case_naming_header(self, cohort_dir, tmp_path, capsys, spacing):
+    @pytest.mark.parametrize(
+        "name, spacing",
+        [("image", ["nan", 1, 1]), ("image", [10**400, 1, 1]), ("right_mask", ["nan", 1, 1])],
+        ids=["nan-string", "huge-int", "mask-nan-string"],
+    )
+    def test_malformed_volume_header_fails_case_naming_header(self, cohort_dir, tmp_path, capsys, name, spacing):
         broken = tmp_path / "bad_spacing_cohort"
         shutil.copytree(cohort_dir, broken)
-        header = broken / "case_001" / "image.json"
+        header = broken / "case_001" / f"{name}.json"
         header.write_text(json.dumps({**json.loads(header.read_text()), "spacing": spacing}))
         out = tmp_path / "r"
         assert main(["run", "--cohort", str(broken), "--modes", "baseline", "--out", str(out)]) == EXIT_PARTIAL
         assert "Traceback" not in capsys.readouterr().err
         doc = json.loads((out / "cases" / "case_001.json").read_text())
         assert str(header) in doc["error"] and "spacing" in doc["error"]
+
+
+class TestCaseMemory:
+    def test_peak_of_one_case_task_on_a_128_cube(self, tmp_path):
+        # numpy reports its buffers to tracemalloc; a 128^3 float32 grid is 8 MiB, a float64 one 16 MiB.
+        # A case keeps its scan and two 80^3 boolean masks; it reads no mask file whole
+        cfg = small_config(tmp_path / "cohort", tmp_path / "out", n_cases=1, n_hard=0, dims=(128, 128, 128),
+                           modes=("baseline", "mcdo"), n_samples=8)
+        assert cmd_generate(cfg) == EXIT_OK
+        manifest_path = tmp_path / "cohort" / "manifest.json"
+        (entry,) = experiment._manifest_entries(manifest_path)
+        localizers = experiment._build_localizers(cfg)
+        experiment._case_task(cfg, manifest_path, localizers, entry)
+        tracemalloc.start()
+        try:
+            rows, case_json = experiment._case_task(cfg, manifest_path, localizers, entry)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert "error" not in case_json and {r["status"] for r in rows} == {"ok"}
+        assert peak < 20 * 2**20
 
 
 # ---------------------------------------------------------------------------

@@ -24,10 +24,10 @@ from voxloc.phantom import (
     generate_phantom,
     hard_case_ids,
     iter_cohort,
-    load_case_volumes,
     write_cohort,
 )
-from voxloc.volume import Volume3, downsample_to, rescale_intensity
+from voxloc.predictors import TruthMaskSegmenter
+from voxloc.volume import Volume3, downsample_to, open_planes, read_volume, rescale_intensity
 
 SMALL = PhantomSpec(dims=(96, 96, 96))
 
@@ -261,17 +261,26 @@ class TestCohortFiles:
         img_b = (tmp_path / "b" / "case_000" / "image.raw").read_bytes()
         assert img_a == img_b
 
-    def test_load_case_volumes_roundtrip(self, tmp_path):
+    def test_case_files_roundtrip(self, tmp_path):
+        # a run reads the image whole and each mask plane by plane, as the case's _case_task does
         write_cohort(tmp_path / "cohort", 2, seed=12, base_spec=SMALL)
-        manifest_path = tmp_path / "cohort" / "manifest.json"
-        manifest = json.loads(manifest_path.read_text())
-        entry = manifest["cases"][1]
-        image, left, right = load_case_volumes(manifest_path, entry)
+        root = tmp_path / "cohort"
+        entry = json.loads((root / "manifest.json").read_text())["cases"][1]
+        image = read_volume(root / entry["files"]["image"])
 
         regenerated = generate_phantom(cohort_case_spec(1, 12, SMALL, entry["hard"]))
         np.testing.assert_array_equal(image.data, regenerated.image.data)
-        np.testing.assert_array_equal(left.data, regenerated.left_mask.data)
         assert isinstance(image, Volume3)
+        for name, mask in (("left_mask", regenerated.left_mask), ("right_mask", regenerated.right_mask)):
+            with open_planes(root / entry["files"][name]) as (dims, plane):
+                assert dims == mask.dims
+                for k in range(dims[2]):
+                    np.testing.assert_array_equal(plane(k), mask.data[:, :, k])
+        left, right = TruthMaskSegmenter(root / entry["files"]["left_mask"], root / entry["files"]["right_mask"]).predict(
+            image, image.dims
+        )
+        np.testing.assert_array_equal(left, regenerated.left_mask.data > 0.5)
+        np.testing.assert_array_equal(right, regenerated.right_mask.data > 0.5)
 
     def test_truth_targets_in_manifest(self, tmp_path):
         write_cohort(tmp_path / "cohort", 1, seed=2, base_spec=SMALL)

@@ -26,7 +26,7 @@ from voxloc.pipeline import (
 )
 from voxloc.predictors import ConvNetLocalizer, ConvNetSpec, MarkerLocalizer, OracleLocalizerConfig, TruthMaskSegmenter
 from voxloc.uncertainty import McConfig, run_mode
-from voxloc.volume import Volume3, _from_block, downsample_to, flip_lr, support_box
+from voxloc.volume import Volume3, _from_block, downsample_to, flip_lr, support_box, write_volume
 
 SP = (1.0, 1.0, 1.0)
 
@@ -393,8 +393,10 @@ class TestPipelineEndToEnd:
 
 
 class TestStage1Resampling:
-    def test_only_a_segmenter_that_reads_the_scan_resamples_it(self, phantom_case, monkeypatch):
+    def test_only_a_segmenter_that_reads_the_scan_resamples_it(self, phantom_case, monkeypatch, tmp_path):
         grid_only = run_pipeline(make_config(phantom_case), phantom_case.image)
+        write_volume(phantom_case.left_mask, tmp_path / "left.json")
+        write_volume(phantom_case.right_mask, tmp_path / "right.json")
         calls, original = [], downsample_to
 
         def spy(v, dims, interpolation="trilinear"):
@@ -404,18 +406,23 @@ class TestStage1Resampling:
         for module in (voxloc.volume, voxloc.predictors, voxloc.pipeline, sys.modules[__name__]):
             if vars(module).get("downsample_to") is original:
                 monkeypatch.setattr(module, "downsample_to", spy)
-        seg = TruthMaskSegmenter(phantom_case.left_mask, phantom_case.right_mask)
-        run_pipeline(make_config(phantom_case, segmenter=seg), phantom_case.image)
-        assert calls == ["nearest", "nearest"]  # the two masks' passes; the scan is not resampled
-        calls.clear()
-        reading = run_pipeline(make_config(phantom_case, segmenter=ResamplingSegmenter(seg)), phantom_case.image)
-        assert calls == ["trilinear", "nearest", "nearest"]  # a segmenter that reads the scan resamples it
-        assert reading.failed_sides == grid_only.failed_sides == ()
-        for side in SIDES:
-            a, b = grid_only.sides[side], reading.sides[side]
-            assert a.box == b.box
-            assert a.target.position == b.target.position
-            assert a.local_crop.data.tobytes() == b.local_crop.data.tobytes()
+        # masks held as volumes or as files go from their planes straight to the coarse grid
+        for seg in (
+            TruthMaskSegmenter(phantom_case.left_mask, phantom_case.right_mask),
+            TruthMaskSegmenter(tmp_path / "left.json", tmp_path / "right.json"),
+        ):
+            from_masks = run_pipeline(make_config(phantom_case, segmenter=seg), phantom_case.image)
+            assert calls == []  # neither the masks nor the scan are resampled
+            reading = run_pipeline(make_config(phantom_case, segmenter=ResamplingSegmenter(seg)), phantom_case.image)
+            assert calls == ["trilinear"]  # a segmenter that reads the scan resamples it
+            calls.clear()
+            for result in (from_masks, reading):
+                assert result.failed_sides == grid_only.failed_sides == ()
+                for side in SIDES:
+                    a, b = grid_only.sides[side], result.sides[side]
+                    assert a.box == b.box
+                    assert a.target.position == b.target.position
+                    assert a.local_crop.data.tobytes() == b.local_crop.data.tobytes()
 
 
 class TestStage1Memory:

@@ -1,10 +1,18 @@
 """Tests for segmenter and localizer predictors."""
 
 import json
+import tempfile
+import tracemalloc
+from contextlib import contextmanager
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
+
+from voxloc import predictors as predictors_module
 
 from voxloc.heatmap import HeatmapSpec, TargetPoint, argmax_position
 from voxloc.predictors import (
@@ -18,14 +26,16 @@ from voxloc.predictors import (
     OracleLocalizerConfig,
     Segmenter,
     TruthMaskSegmenter,
+    _binarize,
     _conv3d_same,
+    _first_peak,
     apply_inverted_dropout,
     load_weights,
     oracle_localize,
     save_weights,
 )
 from voxloc.transforms import RigidTransform, rigid_apply
-from voxloc.volume import Volume3, flip_lr, read_volume, write_volume
+from voxloc.volume import Volume3, downsample_to, flip_lr, read_volume, write_volume
 
 
 def blank(dims=(32, 32, 32), spacing=(1.0, 1.0, 1.0)):
@@ -361,6 +371,23 @@ class TestOracleLocalize:
 
 
 class TestMarkerLocalizer:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        shape=st.tuples(*[st.integers(1, 6)] * 3),
+        seed=st.integers(0, 2**16),
+        planted=st.lists(st.sampled_from([np.nan, np.inf, -np.inf, 3.0]), max_size=4),
+        order=st.sampled_from("CF"),
+    )
+    def test_first_peak_is_the_x_fastest_argmax(self, shape, seed, planted, order):
+        # small integers tie often; planted NaN, +-inf and extra maxima sit anywhere
+        rng = np.random.default_rng(seed)
+        a = rng.integers(0, 3, size=shape).astype(np.float64)
+        for value in planted:
+            a[tuple(rng.integers(0, n) for n in shape)] = value
+        a = np.asarray(a, order=order)
+        expected = np.unravel_index(int(np.argmax(a.ravel(order="F"))), shape, order="F")
+        assert _first_peak(a) == tuple(int(i) for i in expected)
+
     def test_detects_bump_subvoxel(self):
         v = bump_volume((17.4, 20.0, 11.6))
         loc = MarkerLocalizer(OracleLocalizerConfig())
@@ -505,25 +532,64 @@ class TestTruthMaskSegmenter:
         np.testing.assert_array_equal(l, left96[::2, ::2, ::2])
         np.testing.assert_array_equal(r, right96[::2, ::2, ::2])
 
-    def test_resamples_read_masks_through_c_contiguous_takes(self, tmp_path, monkeypatch):
-        # read_volume gives Fortran-ordered grids; np.take would copy each one into C order first
+    def test_reads_mask_files_plane_by_plane(self, tmp_path, monkeypatch):
+        # a mask file is never read whole: each plane that the nearest map hits is read once, in order
         left96, right96 = self.make_masks((96, 96, 96))
         for name, mask in (("left", left96), ("right", right96)):
             write_volume(Volume3(mask.astype(np.float32), (0.5, 0.5, 0.5)), tmp_path / f"{name}.json")
-        masks = [read_volume(tmp_path / f"{name}.json") for name in ("left", "right")]
-        assert not any(m.data.flags.c_contiguous for m in masks)
-        taken = []
-        take = np.take
+        planes_read, original = [], predictors_module.open_planes
 
-        def spy(a, *args, **kwargs):
-            taken.append(a.flags.c_contiguous)
-            return take(a, *args, **kwargs)
+        @contextmanager
+        def spy(path):
+            with original(path) as (dims, plane):
+                yield dims, lambda k: planes_read.append((Path(path).stem, int(k))) or plane(k)
 
-        monkeypatch.setattr(np, "take", spy)
-        l, r = TruthMaskSegmenter(*masks).predict(blank(self.dims), self.dims)
-        assert taken == [True] * 6  # three nearest passes per mask
+        monkeypatch.setattr(predictors_module, "open_planes", spy)
+        seg, image = TruthMaskSegmenter(tmp_path / "left.json", tmp_path / "right.json"), blank(self.dims)
+        seg.predict(image, self.dims)
+        tracemalloc.start()
+        try:
+            l, r = seg.predict(image, self.dims)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert planes_read == 2 * [(name, k) for name in ("left", "right") for k in range(0, 96, 2)]
         np.testing.assert_array_equal(l, left96[::2, ::2, ::2])
         np.testing.assert_array_equal(r, right96[::2, ::2, ::2])
+        assert l.flags.c_contiguous and r.flags.c_contiguous
+        assert peak < 96**3 * 4 / 4  # a quarter of one mask payload: a plane and a few 48^3 boolean grids
+
+    def test_nan_mask_voxels_read_as_background(self, tmp_path):
+        m = np.zeros((8, 8, 8), dtype=np.float32)
+        m[2:6, 2:6, 2:6] = 1.0
+        m[3, 3, 3] = m[0, 0, 0] = np.nan
+        write_volume(Volume3(m, (1, 1, 1)), tmp_path / "nan.json")
+        empty = Volume3(np.zeros((8, 8, 8)), (1, 1, 1))
+        for mask in (Volume3(m, (1, 1, 1)), tmp_path / "nan.json"):
+            left, right = TruthMaskSegmenter(mask, empty).predict(blank((8, 8, 8)), (8, 8, 8))
+            assert not left[3, 3, 3] and not left[0, 0, 0] and not right.any()
+            np.testing.assert_array_equal(left, np.nan_to_num(m) > 0.5)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        shape=st.tuples(*[st.integers(1, 9)] * 3),
+        dims=st.tuples(*[st.integers(1, 12)] * 3),
+        seed=st.integers(0, 2**16),
+        order=st.sampled_from("CF"),
+    )
+    def test_gather_matches_a_nearest_downsample(self, shape, dims, seed, order):
+        # the plane gather is the nearest downsample_to of the mask, then > 0.5, down- or upsampling
+        values = np.array([0.0, 0.5, 1.0, np.nan], dtype=np.float32)
+        m = np.random.default_rng(seed).choice(values, size=shape).astype(np.float32, order=order)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "mask.json"
+            write_volume(Volume3(m, (1.0, 2.0, 0.5)), path)
+            expected = downsample_to(read_volume(path), dims, interpolation="nearest").data > 0.5
+            from_file = _binarize(path, dims)
+        from_volume = _binarize(Volume3(m, (1.0, 2.0, 0.5)), dims)
+        for got in (from_file, from_volume):
+            assert got.dtype == bool and got.shape == dims and got.flags.c_contiguous
+            np.testing.assert_array_equal(got, expected)
 
     def test_overlapping_masks_keep_valid_probabilities(self):
         sp = (1.0, 1.0, 1.0)

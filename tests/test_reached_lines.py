@@ -32,4 +32,7 @@ def test_smoke_run_lists_wmse_and_not_config_hash(tmp_path):
     assert wmse and {f"heatmap.py:{n}" for n in wmse} <= listed
     config_hash = body_lines(src / "experiment.py", "config_hash")
     assert config_hash and not {f"experiment.py:{n}" for n in config_hash} & listed
+    # write_cohort's case threads run every write_volume line
+    write_volume = body_lines(src / "volume.py", "write_volume")
+    assert write_volume and not {f"volume.py:{n}" for n in write_volume} & listed
     assert out[-1].endswith("executable lines not reached")

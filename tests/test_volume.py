@@ -28,6 +28,7 @@ from voxloc.volume import (
     crop_box,
     downsample_to,
     flip_lr,
+    open_planes,
     read_volume,
     rescale_intensity,
     support_box,
@@ -289,6 +290,22 @@ class TestCropBox:
     def test_rejects_bad_extent(self):
         with pytest.raises(ValueError):
             VoxelBox((0, 0, 0), (0, 4, 4))
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        shape=st.tuples(*[st.integers(1, 10)] * 3),
+        center=st.tuples(*[st.integers(-4, 14)] * 3),
+        extent=st.tuples(*[st.integers(1, 12)] * 3),
+        seed=st.integers(0, 2**16),
+    )
+    def test_fortran_ordered_scan_gives_the_same_crop_bytes(self, shape, center, extent, seed):
+        # a read scan is Fortran-ordered; its crop, padded past the volume or not, is the C-ordered one's
+        data = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+        box = VoxelBox(center, extent)
+        from_c = crop_box(Volume3(np.ascontiguousarray(data), (1, 1, 1)), box)
+        from_f = crop_box(Volume3(np.asfortranarray(data), (1, 1, 1)), box)
+        assert from_f.data.flags.c_contiguous and from_f.data.dtype == np.float32
+        assert from_f.data.tobytes() == from_c.data.tobytes()
 
 
 class TestSupportBox:
@@ -708,3 +725,60 @@ class TestVolumeFiles:
         write_volume(v, tmp_path / "b.json")
         assert (tmp_path / "a.json").read_bytes() == (tmp_path / "b.json").read_bytes()
         assert (tmp_path / "a.raw").read_bytes() == (tmp_path / "b.raw").read_bytes()
+
+
+class TestOpenPlanes:
+    def write(self, tmp_path, shape=(5, 4, 6), seed=14):
+        data = np.random.default_rng(seed).normal(size=shape).astype(np.float32)
+        path = tmp_path / "vol.json"
+        write_volume(Volume3(data, (1.0, 2.0, 3.0)), path)
+        return path, data
+
+    def test_planes_are_the_read_volumes_planes(self, tmp_path):
+        path, data = self.write(tmp_path)
+        with open_planes(path) as (dims, plane):
+            assert dims == data.shape
+            for k in (3, 0, 5, 5, 1):  # any order, any repeat
+                got = plane(k)
+                assert got.dtype == np.float32 and got.shape == data.shape[:2]
+                assert got.tobytes() == np.ascontiguousarray(data[:, :, k]).tobytes()
+            assert plane(2) is got  # one buffer serves every plane
+
+    @pytest.mark.parametrize(
+        "defect",
+        ["spacing-string", "dims-bool", "header-list", "payload-short", "payload-long"],
+    )
+    def test_rejects_what_read_volume_rejects_with_its_message(self, tmp_path, defect):
+        path, _ = self.write(tmp_path)
+        payload = tmp_path / "vol.raw"
+        header = json.loads(path.read_text())
+        if defect == "spacing-string":
+            path.write_text(json.dumps({**header, "spacing": ["nan", 1, 1]}))
+        elif defect == "dims-bool":
+            path.write_text(json.dumps({**header, "dims": [True, 4, 6]}))
+        elif defect == "header-list":
+            path.write_text("[]")
+        elif defect == "payload-short":
+            payload.write_bytes(payload.read_bytes()[:-4])
+        else:
+            payload.write_bytes(payload.read_bytes() + b"\0")
+        with pytest.raises(ValueError) as from_read:
+            read_volume(path)
+        with pytest.raises(ValueError) as from_planes:
+            with open_planes(path):
+                pass
+        assert str(from_planes.value) == str(from_read.value)
+        assert str(path) in str(from_planes.value)
+
+    def test_short_plane_read_names_the_file(self, tmp_path, monkeypatch):
+        # the file shrinks between the size check and a plane read: the read raises, naming the file
+        path = tmp_path / "vol.json"
+        write_volume(Volume3(np.ones((4, 4, 4), dtype=np.float32), (1, 1, 1)), path)
+        payload = tmp_path / "vol.raw"
+        payload.write_bytes(payload.read_bytes()[:-4])
+        monkeypatch.setattr(volume_module, "os", SimpleNamespace(fstat=lambda fd: SimpleNamespace(st_size=256)))
+        with open_planes(path) as (_, plane):
+            np.testing.assert_array_equal(plane(2), np.ones((4, 4)))
+            with pytest.raises(ValueError, match="length mismatch") as info:
+                plane(3)
+        assert str(info.value) == f"payload length mismatch for {path}: expected 256 bytes, got 252"

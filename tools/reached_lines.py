@@ -5,9 +5,10 @@ builds the workload's config at ``workers`` 1, then runs
 ``cmd_generate``, ``cmd_run`` and ``cmd_analyze`` in a temporary
 directory under ``trace.Trace(count=1, trace=0)``. voxloc is imported
 and each config is built inside the trace, so module-level lines and
-config validation count as reached. ``trace`` counts only the calling
-thread; at one worker the helper pool's samples still include ones drawn
-on the calling thread, so every sampling line is reached.
+config validation count as reached. Threads started inside the trace
+are traced too (``threading.settrace``), so the lines that
+``write_cohort``'s case threads and the sampling helper threads run
+count as reached.
 
 Prints one ``<module>:<line>: <source>`` row per unreached line, then
 the number of unreached and executable lines. Input checks and error
@@ -24,6 +25,7 @@ import importlib
 import importlib.util
 import sys
 import tempfile
+import threading
 import trace
 from pathlib import Path
 
@@ -81,9 +83,13 @@ def main(argv=None) -> int:
 
     sys.path.insert(0, str(SRC))
     tracer = trace.Trace(count=1, trace=0)
-    for name in args.workloads:
-        with tempfile.TemporaryDirectory() as tmp:
-            tracer.runfunc(run_workload, workloads[name]["config"], args.seed, Path(tmp))
+    threading.settrace(tracer.globaltrace)  # runfunc traces only the calling thread
+    try:
+        for name in args.workloads:
+            with tempfile.TemporaryDirectory() as tmp:
+                tracer.runfunc(run_workload, workloads[name]["config"], args.seed, Path(tmp))
+    finally:
+        threading.settrace(None)
     package = SRC / "voxloc"
     missed = unreached(tracer.results().counts, package)
     sources = {}
